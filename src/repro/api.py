@@ -47,6 +47,7 @@ from repro.server.admission import AdmissionController
 from repro.server.dispatcher import Dispatcher
 from repro.server.loadbalancer import LeastLoadedBalancer, TwoLevelBalancer
 from repro.server.webserver import BackendServer
+from repro.sim.engine import gc_paused
 
 __all__ = ["ClusterBuilder"]
 
@@ -306,8 +307,12 @@ class ClusterBuilder:
         return self
 
     # -- assembly -------------------------------------------------------
+    @gc_paused(1)
     def build(self):
-        """Wire everything up and return the :class:`RubisCluster` handle."""
+        """Wire everything up and return the :class:`RubisCluster` handle.
+
+        The cyclic collector is paused meanwhile (see
+        :func:`repro.sim.engine.gc_paused`)."""
         if self._built:
             raise RuntimeError("ClusterBuilder.build() may only be called once")
         self._built = True

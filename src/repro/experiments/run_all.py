@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import json
 import os
 import pathlib
 import sys
@@ -144,19 +145,23 @@ def _run_job(name: str, full: bool, seed: Optional[int]) -> dict:
 
     Applies the job's seed as the process-wide default master seed
     before running; every ``SimConfig()`` the experiment builds without
-    an explicit ``master_seed=`` then uses it. Exceptions are captured
-    into the job record rather than poisoning the pool.
+    an explicit ``master_seed=`` then uses it. The previous default is
+    restored afterwards, so a job run in-process does not change the
+    seed of the next one. Exceptions are captured into the job record
+    rather than poisoning the pool.
     """
-    if seed is not None:
-        from repro.config import set_default_master_seed
+    from repro.config import set_default_master_seed
 
-        set_default_master_seed(seed)
+    previous = set_default_master_seed(seed) if seed is not None else None
     started = time.time()
     try:
         text = RUNNERS[name](full)
         ok, error = True, ""
     except Exception as exc:  # noqa: BLE001 — job record carries the failure
         text, ok, error = "", False, f"{type(exc).__name__}: {exc}"
+    finally:
+        if previous is not None:
+            set_default_master_seed(previous)
     return {
         "experiment": name,
         "seed": seed,
@@ -170,10 +175,28 @@ def _run_job(name: str, full: bool, seed: Optional[int]) -> dict:
 
 def _merge_bench(out_dir: pathlib.Path, jobs: list, workers: int,
                  full: bool, wall_s: float) -> pathlib.Path:
-    """Fold every job record into the schema-v2 BENCH_run_all baseline."""
+    """Fold this invocation's job records into the schema-v2
+    BENCH_run_all baseline.
+
+    Jobs already in the file are kept unless this invocation re-ran the
+    same (experiment, seed), so running a subset updates the matrix
+    instead of replacing it. The top-level ``workers``, ``full`` and
+    ``wall_s`` describe the latest invocation; each job carries its own
+    ``full``.
+    """
     from repro.analysis.bench import write_bench
 
-    records = [{k: v for k, v in job.items() if k != "text"} for job in jobs]
+    def key(job: dict) -> tuple:
+        return job["experiment"], job["seed"]
+
+    merged = {}
+    path = out_dir / "BENCH_run_all.json"
+    if path.exists():
+        merged = {key(job): job for job in json.loads(path.read_text())["jobs"]}
+    for job in jobs:
+        merged[key(job)] = {**{k: v for k, v in job.items() if k != "text"},
+                            "full": full}
+    records = sorted(merged.values(), key=lambda j: (str(j["seed"]), j["experiment"]))
     return write_bench(out_dir, "run_all", {
         "workers": workers,
         "full": full,

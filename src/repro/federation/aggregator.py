@@ -26,6 +26,7 @@ from repro.federation.topology import ShardTopology, auto_shard_count_3level
 from repro.hw.node import Node
 from repro.monitoring.loadinfo import LoadInfo
 from repro.monitoring.registry import scheme_class
+from repro.sim.engine import gc_paused
 from repro.telemetry.digest import StreamingDigest
 from repro.transport.verbs import WqeBatch, connect_monitor_qp
 
@@ -258,6 +259,7 @@ class Federation:
         return self
 
 
+@gc_paused(1)
 def deploy_federation(
     sim: "ClusterSim",
     scheme_name: Optional[str] = None,
@@ -272,6 +274,8 @@ def deploy_federation(
     fault plane is already installed or a heartbeat monitor is passed —
     wires quarantine-driven rebalancing. Install the fault plane
     *before* calling this (or use :meth:`Federation.attach_faults`).
+    The cyclic collector is paused meanwhile (see
+    :func:`repro.sim.engine.gc_paused`).
     """
     fed = sim.cfg.federation
     if fed.levels not in (2, 3):

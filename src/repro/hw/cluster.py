@@ -15,7 +15,7 @@ from typing import List
 from repro.config import SimConfig
 from repro.hw.fabric import Fabric
 from repro.hw.node import Node
-from repro.sim.engine import Environment
+from repro.sim.engine import Environment, gc_paused
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import Tracer
 from repro.tracing.span import SpanTracer
@@ -85,8 +85,10 @@ class ClusterSim:
         return f"<ClusterSim backends={len(self.backends)} t={self.env.now}>"
 
 
+@gc_paused(1)
 def build_cluster(cfg: SimConfig | None = None) -> ClusterSim:
-    """Build and boot the simulated cluster described by ``cfg``."""
+    """Build and boot the simulated cluster described by ``cfg``, with
+    the cyclic collector paused (see :func:`repro.sim.engine.gc_paused`)."""
     cfg = cfg if cfg is not None else SimConfig()
     cfg.validate()
     env = Environment(

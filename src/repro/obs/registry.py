@@ -250,8 +250,6 @@ def collect_monitor(reg: MetricsRegistry, cluster) -> List[MetricFamily]:
 
 def collect_dispatcher(reg: MetricsRegistry, dispatcher) -> List[MetricFamily]:
     """Request outcomes and client-observed response-time quantiles."""
-    from repro.telemetry.digest import exact_quantiles
-
     stats = dispatcher.stats
     outcomes = reg.family("requests", "counter",
                           "Requests by final outcome.")
@@ -276,19 +274,30 @@ def collect_dispatcher(reg: MetricsRegistry, dispatcher) -> List[MetricFamily]:
     if times:
         rt = reg.family("response_time_ns", "summary",
                         "Client-observed response time, nanoseconds.")
-        qs = exact_quantiles(times, reg.quantiles)
-
-        class _Exact:  # duck-typed digest over the exact sample list
-            count = len(times)
-            mean = sum(times) / len(times)
-
-            @staticmethod
-            def quantile(q):
-                return qs[list(reg.quantiles).index(q)]
-
-        rt.add_summary(_Exact, reg.quantiles)
+        rt.add_summary(_ExactSummary(times, reg.quantiles), reg.quantiles)
         families.append(rt)
     return families
+
+
+class _ExactSummary:
+    """Duck-typed digest over an exact sample list, for ``add_summary``.
+
+    Module-level so that an exposition creates no class, which would be
+    cyclic garbage, per call.
+    """
+
+    __slots__ = ("count", "mean", "_quantiles", "_values")
+
+    def __init__(self, values: Sequence[float], quantiles: Sequence[float]) -> None:
+        from repro.telemetry.digest import exact_quantiles
+
+        self.count = len(values)
+        self.mean = sum(values) / len(values)
+        self._quantiles = list(quantiles)
+        self._values = exact_quantiles(values, quantiles)
+
+    def quantile(self, q: float) -> float:
+        return self._values[self._quantiles.index(q)]
 
 
 #: help strings for the well-known telemetry series

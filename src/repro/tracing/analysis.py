@@ -69,8 +69,12 @@ def critical_path(spans: Sequence[Span], root: Optional[Span] = None) -> List[Sp
     if root is None:
         return []
     path: List[Span] = []
-
-    def walk(span: Span) -> None:
+    # An explicit stack rather than a self-calling closure, whose
+    # function <-> cell cycle would keep the tree alive until the
+    # cyclic collector ran.
+    stack = [root]
+    while stack:
+        span = stack.pop()
         frontier = span.end
         assert frontier is not None
         chosen: List[Span] = []
@@ -81,11 +85,8 @@ def critical_path(spans: Sequence[Span], root: Optional[Span] = None) -> List[Sp
                 frontier = child.start
         if not chosen:
             path.append(span)
-            return
-        for child in reversed(chosen):
-            walk(child)
-
-    walk(root)
+        # chosen runs latest-first, so the earliest child pops next
+        stack.extend(chosen)
     return path
 
 

@@ -83,6 +83,35 @@ def test_in_process_default_keeps_historical_artifacts(tmp_path, monkeypatch, ca
     assert [ (j["experiment"], j["seed"]) for j in doc["jobs"] ] == [("stub", None)]
 
 
+def test_invocations_merge_into_the_bench_file(tmp_path, monkeypatch, capsys):
+    """Two invocations on disjoint experiments leave the union of their
+    jobs; re-running a (experiment, seed) replaces only its record. Run
+    in-process, the seeded jobs leave the default master seed as it was."""
+    import json
+
+    from repro.config import SimConfig
+    from repro.experiments import run_all
+
+    default_seed = SimConfig().master_seed
+    monkeypatch.setitem(run_all.RUNNERS, "stub_a", lambda full: "a")
+    monkeypatch.setitem(run_all.RUNNERS, "stub_b", lambda full: "b")
+    out = ["--results-dir", str(tmp_path)]
+    assert run_all.main(["stub_a", "--seeds", "1,2"] + out) == 0
+    assert run_all.main(["stub_b", "--seeds", "1"] + out) == 0
+    doc = json.loads((tmp_path / "BENCH_run_all.json").read_text())
+    assert [(j["experiment"], j["seed"]) for j in doc["jobs"]] == [
+        ("stub_a", 1), ("stub_b", 1), ("stub_a", 2)]
+    assert doc["jobs_total"] == 3 and doc["jobs_failed"] == 0
+
+    monkeypatch.setitem(run_all.RUNNERS, "stub_a", lambda full: 1 / 0)
+    assert run_all.main(["stub_a", "--seeds", "2"] + out) == 1
+    doc = json.loads((tmp_path / "BENCH_run_all.json").read_text())
+    assert doc["jobs_total"] == 3 and doc["jobs_failed"] == 1
+    assert [(j["experiment"], j["seed"], j["ok"]) for j in doc["jobs"]] == [
+        ("stub_a", 1, True), ("stub_b", 1, True), ("stub_a", 2, False)]
+    assert SimConfig().master_seed == default_seed
+
+
 def test_failed_job_is_recorded_not_fatal(tmp_path, monkeypatch, capsys):
     """A raising experiment fails its job record and the exit code only."""
     import json
