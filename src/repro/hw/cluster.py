@@ -91,11 +91,7 @@ def build_cluster(cfg: SimConfig | None = None) -> ClusterSim:
     the cyclic collector paused (see :func:`repro.sim.engine.gc_paused`)."""
     cfg = cfg if cfg is not None else SimConfig()
     cfg.validate()
-    env = Environment(
-        core=cfg.engine.core,
-        wheel_bucket_bits=cfg.engine.wheel_bucket_bits,
-        wheel_ring_bits=cfg.engine.wheel_ring_bits,
-    )
+    env = Environment()
     rng = RngRegistry(cfg.master_seed)
     tracer = Tracer(enabled=cfg.trace)
     spans = SpanTracer(

@@ -1,32 +1,26 @@
 """The discrete-event engine.
 
-:class:`Environment` owns the clock and the scheduler core and drives
-the simulation. It is deliberately minimal: all domain behaviour (CPUs,
+:class:`Environment` owns the clock and the event heap and drives the
+simulation. It is deliberately minimal: all domain behaviour (CPUs,
 NICs, kernels) is built as processes and events on top of it.
 
 Performance notes
 -----------------
 This module is the hottest code in the repository — every simulated
 nanosecond flows through it — so it trades a little uniformity for
-speed in three deliberate ways:
+speed in two deliberate ways:
 
-* The scheduler holds **mutable list entries** ``[time, priority, seq,
+* The heap holds **mutable list entries** ``[time, priority, seq,
   event]`` (the :mod:`repro.sim.pqueue` convention) instead of tuples.
   Each scheduled event carries its entry in ``event._entry``, which
   makes :meth:`Environment.cancel` a single O(1) slot write — no
   tombstone scans, no re-heapify. Dead entries are discarded when they
   surface, each exactly once.
-* The pending-event store is a pluggable **scheduler core**
-  (:mod:`repro.sim.wheel`): the default bucketed timing wheel gives
-  O(1) insert for everything inside its ~33 ms horizon, with the
-  pre-wheel global binary heap selectable as the reference core. Both
-  dispatch in the identical ``(time, priority, seq)`` order — held to
-  account by the differential suite — so the choice of core never
-  changes a simulation result, only its wall-clock.
-* :meth:`run` inlines the pop/dispatch loop per ``until`` mode rather
-  than calling :meth:`step`, binding the core's pop to a local and
-  reading event state through slots directly. ``step`` and ``peek``
-  remain for incremental driving and tests.
+* Inserts go through ``env._push``, ``heapq.heappush`` already bound to
+  the heap, which :class:`~repro.sim.events.Timeout` and
+  :meth:`Environment.call_later` call directly. :meth:`run` dispatches
+  in one tight loop that reads event state through slots; ``step``
+  and ``peek`` remain for incremental driving and tests.
 
 Sequence numbers stay globally monotonic and unique, so entry
 comparison never reaches the event slot and dispatch order is a pure
@@ -38,11 +32,14 @@ from __future__ import annotations
 
 import functools
 import gc
-from typing import Any, Generator, List, Optional, Union
+from heapq import heappop, heappush
+from typing import Any, Generator, List, Optional
 
 from repro.sim.events import AllOf, AnyOf, Event, EventPriority, Hook, Timeout
 from repro.sim.process import Process
-from repro.sim.wheel import CORES, NEVER, TimingWheel
+
+#: time :meth:`Environment.peek` returns when nothing is scheduled
+NEVER = 2**63 - 1
 
 
 class SimulationError(Exception):
@@ -96,21 +93,12 @@ def gc_paused(generation: int):
 
 
 class Environment:
-    """A simulation environment: clock, scheduler core, process factory.
+    """A simulation environment: clock, event heap, process factory.
 
     Parameters
     ----------
     initial_time:
         Starting value of the nanosecond clock.
-    core:
-        The scheduler core: ``"wheel"`` (default) or ``"heap"`` by
-        name, or a pre-built core object implementing the
-        :mod:`repro.sim.wheel` protocol (``push`` / ``pop_live`` /
-        ``pop_live_until`` / ``peek_time``).
-    wheel_bucket_bits / wheel_ring_bits:
-        Wheel geometry, forwarded to :class:`~repro.sim.wheel.TimingWheel`
-        when ``core="wheel"`` (ignored otherwise). See
-        ``docs/PERF.md`` for sizing guidance.
 
     Notes
     -----
@@ -119,33 +107,17 @@ class Environment:
     so simultaneous same-priority events fire in the exact order they
     were scheduled — the keystone of reproducibility. Cancelled entries
     have their event slot set to ``None`` and are dropped when they
-    surface inside the core.
+    reach the top of the heap.
     """
 
-    __slots__ = ("_now", "_core", "_push", "_seq", "_active_process",
+    __slots__ = ("_now", "_heap", "_push", "_seq", "_active_process",
                  "_hook_pool", "processed_events", "cancelled_events")
 
-    def __init__(self, initial_time: int = 0,
-                 core: Union[str, object] = "wheel", *,
-                 wheel_bucket_bits: int = 12,
-                 wheel_ring_bits: int = 13) -> None:
+    def __init__(self, initial_time: int = 0) -> None:
         self._now: int = int(initial_time)
-        if isinstance(core, str):
-            try:
-                factory = CORES[core]
-            except KeyError:
-                raise SimulationError(
-                    f"unknown scheduler core {core!r} "
-                    f"(choose from {sorted(CORES)})"
-                ) from None
-            if factory is TimingWheel:
-                core = TimingWheel(self._now, bucket_bits=wheel_bucket_bits,
-                                   ring_bits=wheel_ring_bits)
-            else:
-                core = factory(self._now)
-        self._core = core
+        self._heap: List[list] = []
         #: bound fast-path insert, used by Timeout.__init__ directly
-        self._push = core.push
+        self._push = functools.partial(heappush, self._heap)
         self._seq: int = 0
         #: recycled Hook carriers for call_later (see repro.sim.events)
         self._hook_pool: List[Hook] = []
@@ -165,11 +137,6 @@ class Environment:
     def active_process(self) -> Optional[Process]:
         """The process currently executing, if any."""
         return self._active_process
-
-    @property
-    def core_kind(self) -> str:
-        """Name of the scheduler core in use (``"wheel"``, ``"heap"``)."""
-        return getattr(self._core, "kind", type(self._core).__name__)
 
     # -- factories -----------------------------------------------------------
     def event(self, name: str = "") -> Event:
@@ -226,7 +193,7 @@ class Environment:
         Returns True if the event was pending dispatch (its callbacks
         will now never run and it will never count as processed), False
         if it was not scheduled — never triggered, already processed, or
-        already cancelled. Does not touch the core: the dead entry is
+        already cancelled. Does not touch the heap: the dead entry is
         discarded when it surfaces.
         """
         entry = event._entry
@@ -237,13 +204,33 @@ class Environment:
         self.cancelled_events += 1
         return True
 
+    def _pop_live_until(self, horizon: int) -> Optional[list]:
+        """Remove and return the next live entry due at or before
+        ``horizon``, or None. Dead entries on top are discarded."""
+        heap = self._heap
+        while heap:
+            head = heap[0]
+            if head[3] is None:
+                heappop(heap)
+            elif head[0] > horizon:
+                return None
+            else:
+                return heappop(heap)
+        return None
+
     def peek(self) -> int:
-        """Time of the next scheduled event, or a sentinel max if none."""
-        return self._core.peek_time()
+        """Time of the next scheduled event, or :data:`NEVER` if none."""
+        heap = self._heap
+        while heap:
+            head = heap[0]
+            if head[3] is not None:
+                return head[0]
+            heappop(heap)
+        return NEVER
 
     def step(self) -> None:
         """Process the next event. Raises :class:`EmptySchedule` if none."""
-        entry = self._core.pop_live()
+        entry = self._pop_live_until(NEVER)
         if entry is None:
             raise EmptySchedule()
         event = entry[3]
@@ -270,43 +257,46 @@ class Environment:
         * an :class:`Event` — run until that event is processed, returning
           its value.
         """
-        if until is None:
-            return self._run_drain()
         if isinstance(until, Event):
             return self._run_until_event(until)
-        horizon = int(until)
-        if horizon < self._now:
-            raise SimulationError(
-                f"until={horizon} is in the past (now={self._now})"
-            )
-        return self._run_until_time(horizon)
-
-    def _run_drain(self) -> Any:
-        """run(None): drain the queue completely."""
-        pop = self._core.pop_live
-        processed = self.processed_events
+        horizon = NEVER
+        if until is not None:
+            horizon = int(until)
+            if horizon < self._now:
+                raise SimulationError(
+                    f"until={horizon} is in the past (now={self._now})"
+                )
         try:
-            while True:
-                entry = pop()
-                if entry is None:
-                    return None
-                event = entry[3]
-                event._entry = None
-                self._now = entry[0]
-                processed += 1
-                self.processed_events = processed
-                event._process()
-                if not event._ok and not event._defused:
-                    raise event._value
+            self._dispatch_until(horizon)
         except StopSimulation as stop:
             return stop.value
+        if until is not None:
+            self._now = horizon
+        return None
+
+    def _dispatch_until(self, horizon: int) -> None:
+        """Dispatch every event due at or before ``horizon``, in order."""
+        pop_until = self._pop_live_until
+        processed = self.processed_events
+        while True:
+            entry = pop_until(horizon)
+            if entry is None:
+                return
+            event = entry[3]
+            event._entry = None
+            self._now = entry[0]
+            processed += 1
+            self.processed_events = processed
+            event._process()
+            if not event._ok and not event._defused:
+                raise event._value
 
     def _run_until_event(self, stop_event: Event) -> Any:
         """run(event): dispatch until ``stop_event`` is processed."""
-        pop = self._core.pop_live
+        pop_until = self._pop_live_until
         try:
             while not stop_event._processed:
-                entry = pop()
+                entry = pop_until(NEVER)
                 if entry is None:
                     raise SimulationError(
                         f"run() until-event {stop_event!r} can never fire: "
@@ -325,49 +315,15 @@ class Environment:
         except StopSimulation as stop:
             return stop.value
 
-    def _run_until_time(self, horizon: int) -> Any:
-        """run(int): dispatch everything at or before ``horizon``."""
-        pop_until = self._core.pop_live_until
-        processed = self.processed_events
-        try:
-            while True:
-                entry = pop_until(horizon)
-                if entry is None:
-                    break
-                event = entry[3]
-                event._entry = None
-                self._now = entry[0]
-                processed += 1
-                self.processed_events = processed
-                event._process()
-                if not event._ok and not event._defused:
-                    raise event._value
-            self._now = horizon
-            return None
-        except StopSimulation as stop:
-            return stop.value
-
     def run_until_quiet(self, max_time: int) -> None:
         """Run until nothing is scheduled before ``max_time``; clamp clock."""
-        pop_until = self._core.pop_live_until
-        while True:
-            entry = pop_until(max_time)
-            if entry is None:
-                break
-            event = entry[3]
-            event._entry = None
-            self._now = entry[0]
-            self.processed_events += 1
-            event._process()
-            if not event._ok and not event._defused:
-                raise event._value
+        self._dispatch_until(max_time)
         if self._now < max_time:
             self._now = max_time
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (f"<Environment t={self._now} core={self.core_kind} "
-                f"queued={len(self._core)}>")
+        return f"<Environment t={self._now} queued={len(self._heap)}>"
 
 
-#: re-exported for callers that pattern-match on the peek sentinel
+#: alias for callers that pattern-match on the peek sentinel
 PEEK_NEVER = NEVER

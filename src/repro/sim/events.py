@@ -165,7 +165,7 @@ class Timeout(Event):
     latency is one), so ``__init__`` is hand-flattened: fields are set
     inline instead of chaining ``Event.__init__``, the name stays empty
     (``__repr__`` reconstructs the label from ``delay``), and the queue
-    entry is built inline and handed straight to the scheduler core's
+    entry is built inline and handed straight to the event heap's
     bound ``env._push`` rather than going through
     ``Environment._enqueue``. The entry layout and sequence numbering
     are identical, so scheduling order is unchanged.

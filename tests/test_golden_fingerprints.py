@@ -11,6 +11,12 @@ span boundaries and workload drop counts — any reordering of the event
 queue, any perturbation of an RNG stream, or any change to simulated
 costs shifts at least one component.
 
+Two more goldens pin plane-on behaviour: an all-planes cluster (the
+benchmark's ``rubis8-planes`` recipe, 300 ms) and a three-level
+federation over 256 back-ends. Both were captured at commit d1575b2,
+on the timing-wheel scheduler core, before that core was deleted in
+favour of the heap it had to match.
+
 The overhauled core must reproduce every value bit-for-bit. If a test
 here fails, the change under review broke same-seed reproducibility —
 do NOT re-capture the goldens to make it pass unless the change is an
@@ -34,6 +40,7 @@ import re
 
 import pytest
 
+from repro.api import ClusterBuilder
 from repro.config import SimConfig
 from repro.experiments.common import deploy_rubis_cluster
 from repro.sim.units import ms, seconds
@@ -92,6 +99,70 @@ def fp_federation(seed=9):
             tuple(sorted(app.dispatcher.stats.per_backend_counts().items())))
 
 
+def fp_all_planes(seed=5):
+    """Every optional plane on at once: 8 back-ends, e-rdma-sync under
+    two-level federation, tracing, obs, admission, heartbeat, the
+    elastic scaler, congestion with monitor priority, the tenancy
+    defense against a read-blaster, and a crash/recover plus
+    degraded-link fault schedule."""
+    cfg = SimConfig(num_backends=8, master_seed=seed)
+    cfg.monitor.probe_timeout = ms(2)
+    interval = ms(10)
+    app = (ClusterBuilder(cfg)
+           .scheme("e-rdma-sync", interval=interval)
+           .with_federation(levels=2, leaf_interval=interval,
+                            root_interval=interval)
+           .workers(32)
+           .workload("rubis", num_clients=192, think_time=ms(3),
+                     demand_cv=0.4, burst_length=10, idle_factor=8)
+           .with_tracing(sample=1.0)
+           .observability(http=False)
+           .with_admission()
+           .with_heartbeat()
+           .with_elastic_scaler(initial_active=6)
+           .congestion(monitor_priority=True)
+           .tenancy(defense=True)
+           .with_faults("at 300ms crash backend3\n"
+                        "at 600ms recover backend3\n"
+                        "from 400ms to 700ms degrade-link frontend backend1 "
+                        "latency=20 bw=0.5\n")
+           .workload("read-blaster", src=6, target=7, start_after=ms(200),
+                     stop_after=ms(800))
+           .build())
+    app.run(ms(300))
+    sim, s = app.sim, app.dispatcher.stats
+    ports = sim.congestion.switch.ports().values()
+    return (s.count(), repr(s.mean_response()), s.rejected_count,
+            s.timeout_count, tuple(sorted(s.per_backend_counts().items())),
+            sim.env.processed_events, sim.env.cancelled_events,
+            app.faults.applied, app.heartbeat.probes,
+            len(sim.tenancy.actions),
+            sum(p.enqueued for p in ports), sum(p.ecn_marks for p in ports),
+            len(sim.spans.spans) + sim.spans.dropped,
+            tuple((e.time, e.direction, e.backend) for e in app.scaler.events),
+            app.federation.root.polls, app.federation.root.epoch)
+
+
+def fp_three_level(seed=1):
+    """Three-level federation over 256 back-ends at a 1 ms period, no
+    client load."""
+    cfg = SimConfig(num_backends=256, master_seed=seed)
+    interval = ms(1)
+    app = (ClusterBuilder(cfg)
+           .scheme("rdma-sync", interval=interval)
+           .with_federation(levels=3, leaf_interval=interval,
+                            root_interval=interval, region_interval=interval)
+           .build())
+    app.run(ms(10))
+    fed = app.federation
+    tiers = (*fed.leaves, *fed.regions, fed.root)
+    return (app.sim.env.processed_events, app.sim.env.cancelled_events,
+            len(fed.root.latest), fed.root.polls, fed.root.epoch,
+            sum(len(t.rounds) for t in tiers),
+            sum(sum(t.rounds) for t in tiers),
+            max(max(t.rounds) for t in tiers))
+
+
 GOLDEN_SOCKET_SYNC = (1521, '2765277.1499013808', 26937012, ((0, 748), (1, 773)), 55365, (410128, 423628, 410128, 423628, 410128, 884311, 410128, 423628, 410128, 423628, 410128, 423628, 423628, 437128, 410128, 423628, 419969, 849142, 410128, 423628, 410128, 423628, 410128, 423628, 410128, 423628, 410128, 423628, 410128, 423628, 410128, 423628, 782347, 786365, 410128, 423628, 410128, 429128, 410128, 1431400, 423628, 437128, 410128, 437128, 410128, 423628, 410128, 423628, 410128, 423628))
 
 GOLDEN_RDMA_SYNC = (1428, '3080267.3928571427', 30860358, ((0, 714), (1, 714)), 51442, (20007, 25007) * 25)
@@ -99,6 +170,10 @@ GOLDEN_RDMA_SYNC = (1428, '3080267.3928571427', 30860358, ((0, 714), (1, 714)), 
 GOLDEN_OPENLOOP = (839, 104, 734, '2241292.220708447', ((0, 397), (1, 337)), 33268)
 
 GOLDEN_TRACED = (175, 8793, 342, 45, 170, (('lb.pick', 36629343, 36629343), ('dispatch', 36623193, 36642493), ('queue', 36629343, 36660157), ('web', 36666157, 38071132), ('db', 38071132, 40883583), ('respond', 40883583, 40897783), ('service', 36660157, 40897783), ('request', 36589379, 40941127), ('lb.pick', 70050012, 70050012), ('dispatch', 70043862, 70063162), ('queue', 70050012, 70080826), ('web', 70086826, 70658591), ('db', 70658591, 71135062), ('respond', 71135062, 71149262), ('service', 70080826, 71149262), ('request', 70010048, 71192606), ('lb.pick', 80690650, 80690650), ('dispatch', 80684500, 80703800), ('queue', 80690650, 80721464), ('web', 80727464, 81442074), ('db', 81442074, 82871295), ('respond', 82871295, 82885495), ('service', 80721464, 82885495), ('request', 80650686, 82928839), ('lb.pick', 89560416, 89560416), ('dispatch', 89554266, 89573566), ('queue', 89560416, 89591230), ('web', 89597230, 90179538), ('db', 90179538, 90662712), ('respond', 90662712, 90676912), ('service', 89591230, 90676912), ('request', 89520452, 90720256), ('rdma.read.post', 100040426, 100042926), ('rdma.read.at_target', 100042926, 100043686), ('rdma.read.post', 100041126, 100045426), ('rdma.read.at_target', 100045426, 100046186), ('rdma.read.dma', 100043686, 100046701), ('rdma.read.completion', 100046701, 100048089), ('rdma.read', 100040426, 100048089), ('rdma.read.dma', 100046186, 100049201)))
+
+GOLDEN_ALL_PLANES = (1858, '22543894.51506997', 0, 0, ((0, 252), (1, 235), (2, 222), (3, 234), (4, 261), (5, 258), (6, 217), (7, 179)), 99030, 0, 1, 48, 2, 7375, 0, 20325, ((50003700, 'up', 6), (100003700, 'up', 7)), 30, 30)
+
+GOLDEN_THREE_LEVEL = (27623, 0, 256, 10, 10, 510, 27159028, 83985)
 
 GOLDEN_FEDERATION = (427, 26996, ((0, 34), (1, 32), (2, 26), (3, 24), (4, 28), (5, 28), (6, 27), (7, 21), (8, 24), (9, 29), (10, 23), (11, 33), (12, 28), (13, 17), (14, 25), (15, 28)))
 
@@ -135,3 +210,11 @@ def test_golden_traced_telemetry(regen_goldens):
 
 def test_golden_federation(regen_goldens):
     _check("GOLDEN_FEDERATION", fp_federation(), regen_goldens)
+
+
+def test_golden_all_planes(regen_goldens):
+    _check("GOLDEN_ALL_PLANES", fp_all_planes(), regen_goldens)
+
+
+def test_golden_three_level_federation(regen_goldens):
+    _check("GOLDEN_THREE_LEVEL", fp_three_level(), regen_goldens)
