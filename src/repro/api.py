@@ -22,34 +22,56 @@ congestion-realistic fabric)::
 Each ``with_*`` method returns the builder, so a deployment reads as a
 single expression naming exactly the planes it enables; everything not
 named stays off and the run is byte-identical to the minimal stack
-(property-tested). ``build()`` may be called once; it returns the same
-:class:`~repro.experiments.common.RubisCluster` handle the legacy
-helper returned.
-
-The legacy ``repro.experiments.common.deploy_rubis_cluster`` /
-``repro.federation.deploy_federation`` entry points remain as thin
-shims over this builder and produce fingerprint-identical clusters
-(also property-tested), but new code should use the builder.
+(property-tested). ``build()`` may be called once; it returns a
+:class:`RubisCluster` handle.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from difflib import get_close_matches
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.config import SimConfig
 from repro.faults import FaultPlane, FaultSchedule, parse_schedule
-from repro.federation import deploy_federation
-from repro.hw.cluster import build_cluster
-from repro.monitoring import FrontendMonitor, create_scheme
+from repro.federation import Federation, deploy_federation
+from repro.hw.cluster import ClusterSim, build_cluster
+from repro.monitoring import FrontendMonitor, MonitoringScheme, create_scheme
 from repro.monitoring.heartbeat import HeartbeatMonitor
 from repro.server.admission import AdmissionController
 from repro.server.dispatcher import Dispatcher
 from repro.server.loadbalancer import LeastLoadedBalancer, TwoLevelBalancer
 from repro.server.webserver import BackendServer
 from repro.sim.engine import gc_paused
+from repro.telemetry.pipeline import TelemetryPipeline
 
-__all__ = ["ClusterBuilder"]
+__all__ = ["ClusterBuilder", "RubisCluster"]
+
+
+@dataclass
+class RubisCluster:
+    """Handles for a deployed application cluster."""
+
+    sim: ClusterSim
+    servers: List[BackendServer]
+    scheme: MonitoringScheme
+    monitor: FrontendMonitor
+    balancer: LeastLoadedBalancer
+    dispatcher: Dispatcher
+    admission: Optional[AdmissionController] = None
+    telemetry: Optional[TelemetryPipeline] = None
+    faults: Optional[FaultPlane] = None
+    heartbeat: Optional[HeartbeatMonitor] = None
+    federation: Optional[Federation] = None
+    #: :class:`~repro.server.reconfig.ElasticScaler` when autoscaling is on
+    scaler: Optional[object] = None
+    #: workloads queued via ``ClusterBuilder.workload``, in chain order
+    workloads: List[object] = field(default_factory=list)
+    #: :class:`~repro.obs.surface.Observability` when the surface is on
+    obs: Optional[object] = None
+
+    def run(self, until: int) -> None:
+        self.sim.run(until)
 
 
 def _audit_kwargs(method: str, extra: dict, valid: Sequence[str]) -> None:
@@ -297,10 +319,6 @@ class ClusterBuilder:
         if self._built:
             raise RuntimeError("ClusterBuilder.build() may only be called once")
         self._built = True
-        # Deferred: common.py's legacy shim imports this module.
-        from repro.experiments.common import RubisCluster
-        from repro.telemetry.pipeline import TelemetryPipeline
-
         cfg = self._cfg
         if cfg.obs.enabled:
             # The exposition's richest source; attaching it is free in

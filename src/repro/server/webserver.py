@@ -69,6 +69,10 @@ class BackendServer:
         self.node = node
         cfg = node.cfg.server
         self.workers = workers if workers is not None else cfg.workers_per_server
+        if self.workers < 1:
+            raise ValueError(
+                f"{node.name}: a web server needs at least one worker "
+                f"(got {self.workers})")
         #: requests forwarded by the dispatcher land here (the persistent
         #: dispatcher→server connection's receive buffer)
         self.request_queue: Store = Store(node.env, name=f"reqq:{node.name}")

@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro.api import ClusterBuilder
 from repro.config import SimConfig
-from repro.experiments.common import deploy_rubis_cluster
 from repro.monitoring.loadinfo import LoadInfo
 from repro.server.admission import AdmissionController
 from repro.sim.units import MILLISECOND, SECOND
@@ -56,11 +56,11 @@ def test_dispatcher_routes_around_alerted_backend():
     # raised manually below stays active for the rest of the run.
     rules = [ThresholdRule("overload", metric="synthetic", fire_above=1.0,
                            severity=Severity.CRITICAL, sheds=True)]
-    app = deploy_rubis_cluster(
-        SimConfig(num_backends=2), scheme_name="rdma-sync",
-        poll_interval=50 * MILLISECOND, alert_shedding=True,
-        telemetry_rules=rules,
-    )
+    app = (ClusterBuilder(SimConfig(num_backends=2))
+           .scheme("rdma-sync", interval=50 * MILLISECOND)
+           .with_telemetry(rules=rules)
+           .with_alert_shedding()
+           .build())
     workload = RubisWorkload(app.sim, app.dispatcher, num_clients=8,
                              think_time=3 * MILLISECOND)
     workload.start()

@@ -1,10 +1,9 @@
-"""ClusterBuilder facade: equivalence with the legacy helper, and misuse."""
+"""ClusterBuilder facade: equivalent spellings, and misuse."""
 
 import pytest
 
 from repro.api import ClusterBuilder
 from repro.config import SimConfig
-from repro.experiments.common import deploy_rubis_cluster
 from repro.sim.units import ms, seconds
 from repro.workloads.rubis import RubisWorkload
 
@@ -20,63 +19,16 @@ def _fingerprint(app, seconds_to_run=1):
             tuple(r.latency for r in app.scheme.records[:50]))
 
 
-def test_builder_matches_legacy_helper_minimal():
-    legacy = deploy_rubis_cluster(
-        SimConfig(num_backends=2, master_seed=31), scheme_name="rdma-sync",
-        poll_interval=ms(50))
-    built = (ClusterBuilder(SimConfig(num_backends=2, master_seed=31))
-             .scheme("rdma-sync", interval=ms(50))
-             .build())
-    assert _fingerprint(built) == _fingerprint(legacy)
-
-
-def test_builder_matches_legacy_helper_full_stack():
-    schedule = "at 300ms hang backend0\nat 600ms recover backend0\n"
-
-    def legacy():
-        return deploy_rubis_cluster(
-            SimConfig(num_backends=2, master_seed=32),
-            scheme_name="e-rdma-sync", poll_interval=ms(20),
-            with_admission=True, admission_max_score=0.9,
-            with_telemetry=True, alert_shedding=True,
-            with_tracing=True, trace_sample=0.5,
-            fault_schedule=schedule,
-            with_heartbeat=True, heartbeat_interval=ms(20),
-            heartbeat_timeout=ms(2),
-        )
-
-    def built():
-        return (ClusterBuilder(SimConfig(num_backends=2, master_seed=32))
-                .scheme("e-rdma-sync", interval=ms(20))
-                .with_admission(max_score=0.9)
-                .with_telemetry()
-                .with_alert_shedding()
-                .with_tracing(sample=0.5)
-                .with_faults(schedule)
-                .with_heartbeat(interval=ms(20), timeout=ms(2))
-                .build())
-
-    a, b = legacy(), built()
-    assert _fingerprint(a) == _fingerprint(b)
-    # The optional planes actually exist on both handles.
-    for app in (a, b):
-        assert app.admission is not None
-        assert app.telemetry is not None
-        assert app.faults is not None
-        assert app.heartbeat is not None
-
-
 def test_builder_federation_matches_cfg_flag():
     cfg = SimConfig(num_backends=8, master_seed=33)
     cfg.federation.enabled = True
-    legacy = deploy_rubis_cluster(cfg, scheme_name="rdma-sync",
-                                  poll_interval=ms(50))
+    by_flag = ClusterBuilder(cfg).scheme("rdma-sync", interval=ms(50)).build()
     built = (ClusterBuilder(SimConfig(num_backends=8, master_seed=33))
              .scheme("rdma-sync", interval=ms(50))
              .with_federation()
              .build())
-    assert built.federation is not None and legacy.federation is not None
-    assert _fingerprint(built) == _fingerprint(legacy)
+    assert built.federation is not None and by_flag.federation is not None
+    assert _fingerprint(built) == _fingerprint(by_flag)
 
 
 def test_builder_default_scheme_is_rdma_sync():

@@ -1,9 +1,9 @@
-"""Tests for the unified workload registry and the legacy shims.
+"""Tests for the unified workload registry.
 
-The ``spawn_*`` helpers are now shims over ``create_workload``; the
-acceptance bar is that they stay **fingerprint-identical** to driving
-the registry directly (same RNG streams, same event counts), and that
-the registry audits names and keywords with did-you-mean hints.
+Node-valued parameters accept a :class:`~repro.hw.node.Node` or a
+back-end index; the acceptance bar is that both spellings are
+**fingerprint-identical** (same RNG streams, same event counts), and
+that the registry audits names, keywords and indices with clear errors.
 """
 
 import pytest
@@ -15,9 +15,6 @@ from repro.workloads import (
     WORKLOADS,
     create_workload,
     get_workload_spec,
-    spawn_background_load,
-    spawn_incast_tenants,
-    spawn_qp_churn_flood,
     workload_names,
 )
 
@@ -36,40 +33,38 @@ def _run_arm(seed, spawn):
 
 
 # ----------------------------------------------------------------------
-# shims == registry, bit for bit
+# Node objects == back-end indices, bit for bit
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("seed", (1234, 77))
-def test_background_shim_is_fingerprint_identical(seed):
-    shim = _run_arm(seed, lambda sim: spawn_background_load(
-        sim, sim.backends[0], threads=4, burst=2))
-    registry = _run_arm(seed, lambda sim: create_workload(
+def test_background_node_and_index_are_fingerprint_identical(seed):
+    by_node = _run_arm(seed, lambda sim: create_workload(
+        "background", sim, node=sim.backends[0], threads=4, burst=2))
+    by_index = _run_arm(seed, lambda sim: create_workload(
         "background", sim, node=0, threads=4, burst=2))
-    assert shim == registry
+    assert by_node == by_index
 
 
 @pytest.mark.parametrize("seed", (1234,))
-def test_incast_shim_is_fingerprint_identical(seed):
-    shim = _run_arm(seed, lambda sim: spawn_incast_tenants(
-        sim, sim.backends[0], sim.backends[1:], flows_per_source=2))
-    registry = _run_arm(seed, lambda sim: create_workload(
+def test_incast_node_and_index_are_fingerprint_identical(seed):
+    by_node = _run_arm(seed, lambda sim: create_workload(
+        "incast", sim, target=sim.backends[0], sources=sim.backends[1:],
+        flows_per_source=2))
+    by_index = _run_arm(seed, lambda sim: create_workload(
         "incast", sim, target=0, sources=[1, 2], flows_per_source=2))
-    assert shim == registry
+    assert by_node == by_index
 
 
 @pytest.mark.parametrize("seed", (1234,))
-def test_attack_shim_is_fingerprint_identical(seed):
+def test_attack_node_and_index_are_fingerprint_identical(seed):
     def _cfg(s):
         cfg = SimConfig(num_backends=2, master_seed=s)
         cfg.tenancy.enabled = True
         return cfg
 
     runs = []
-    for spawn in (
-        lambda sim: spawn_qp_churn_flood(sim, sim.clients, sim.backends[0]),
-        lambda sim: create_workload("qp-churn", sim, src=sim.clients, target=0),
-    ):
+    for target in (lambda sim: sim.backends[0], lambda sim: 0):
         sim = build_cluster(_cfg(seed))
-        spawn(sim)
+        create_workload("qp-churn", sim, src=sim.clients, target=target(sim))
         sim.run(seconds(1) // 2)
         runs.append(_fingerprint(sim))
     assert runs[0] == runs[1]
@@ -110,6 +105,27 @@ def test_node_valued_params_accept_indices():
     sim = build_cluster(SimConfig(num_backends=2))
     tasks = create_workload("background", sim, node=1, threads=2)
     assert tasks and all(t.node is sim.backends[1] for t in tasks)
+    tasks = create_workload("incast", sim, target=0, sources=[1])
+    assert tasks and all(t.node is sim.backends[1] for t in tasks)
+    task = create_workload("qp-churn", sim, src=sim.clients, target=1)
+    assert task.node is sim.clients
+
+
+@pytest.mark.parametrize("param,value", [
+    ("node", 5), ("node", -1),
+    ("target", 2), ("target", -1),
+    ("sources", [1, 7]), ("sources", [-1]),
+])
+def test_node_valued_params_reject_out_of_range(param, value):
+    sim = build_cluster(SimConfig(num_backends=2))
+    kwargs = {"node": dict(threads=2),
+              "target": dict(sources=[1]),
+              "sources": dict(target=0)}[param]
+    name = "background" if param == "node" else "incast"
+    bad = value[-1] if param == "sources" else value
+    with pytest.raises(ValueError,
+                       match=rf"{param}={bad} .*valid range 0\.\.1"):
+        create_workload(name, sim, **{param: value}, **kwargs)
 
 
 def test_builder_workload_chain_validates_eagerly():
