@@ -26,3 +26,12 @@ def test_artifact_has_schema_and_commit(path):
     doc = json.loads(path.read_text())
     assert doc.get("schema_version") == BENCH_SCHEMA_VERSION
     assert "commit" in doc.get("run", {})
+
+
+def test_run_all_artifact_has_one_ok_job_per_runner():
+    from repro.experiments.run_all import RUNNERS
+
+    doc = json.loads((RESULTS / "BENCH_run_all.json").read_text())
+    jobs = doc["jobs"]
+    assert sorted(job["experiment"] for job in jobs) == sorted(RUNNERS)
+    assert all(job["ok"] for job in jobs), [j for j in jobs if not j["ok"]]
