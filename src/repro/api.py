@@ -19,18 +19,21 @@ congestion-realistic fabric)::
     )
     cluster.run(until=10 * S)
 
-Each ``with_*`` method returns the builder, so a deployment reads as a
+Each plane method returns the builder, so a deployment reads as a
 single expression naming exactly the planes it enables; everything not
 named stays off and the run is byte-identical to the minimal stack
-(property-tested). ``build()`` may be called once; it returns a
-:class:`RubisCluster` handle.
+(property-tested). A plane method only writes its section of ``cfg``,
+and ``build()`` reads every plane switch from ``cfg``, so setting the
+sections by hand deploys the same cluster. ``build()`` may be called
+once; it returns a :class:`RubisCluster` handle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import inspect
 from difflib import get_close_matches
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from repro.config import SimConfig
 from repro.faults import FaultPlane, FaultSchedule, parse_schedule
@@ -56,8 +59,9 @@ class RubisCluster:
     servers: List[BackendServer]
     scheme: MonitoringScheme
     monitor: FrontendMonitor
-    balancer: LeastLoadedBalancer
-    dispatcher: Dispatcher
+    #: set by ``build()``; ``None`` only while the build is wiring planes
+    balancer: Optional[LeastLoadedBalancer] = None
+    dispatcher: Optional[Dispatcher] = None
     admission: Optional[AdmissionController] = None
     telemetry: Optional[TelemetryPipeline] = None
     faults: Optional[FaultPlane] = None
@@ -70,49 +74,63 @@ class RubisCluster:
     #: :class:`~repro.obs.surface.Observability` when the surface is on
     obs: Optional[object] = None
 
+    @property
+    def view(self):
+        """The monitoring view routing reads: the federated root when
+        federation is on, the flat front-end poller otherwise."""
+        return self.federation.root if self.federation is not None else self.monitor
+
     def run(self, until: int) -> None:
         self.sim.run(until)
 
 
-def _audit_kwargs(method: str, extra: dict, valid: Sequence[str]) -> None:
-    """Reject unknown chain-method keywords with a did-you-mean hint.
-
-    Mirrors the config-schema audit: a misspelled knob on any builder
-    chain method raises immediately instead of silently vanishing into
-    ``**kwargs`` (or a bare TypeError with no suggestion).
-    """
-    if not extra:
-        return
-    name = next(iter(extra))
-    matches = get_close_matches(name, valid, n=1, cutoff=0.6)
-    hint = f" — did you mean {matches[0]!r}?" if matches else ""
-    raise TypeError(
-        f"ClusterBuilder.{method}() got unknown keyword argument "
-        f"{name!r}{hint} (valid keywords: {', '.join(sorted(valid))})"
-    )
+def _keyword_params(method) -> List[str]:
+    """The keyword-only parameters a chain method takes itself."""
+    return [p.name for p in inspect.signature(method).parameters.values()
+            if p.kind is p.KEYWORD_ONLY]
 
 
 class ClusterBuilder:
-    """Fluent assembly of a monitored cluster (see module docstring)."""
+    """Fluent assembly of a monitored cluster (see module docstring).
+
+    Every plane method switches its plane on in the builder's
+    :class:`~repro.config.SimConfig` and sets the given knobs there, so
+    ``build()`` reads every switch from the config alone. The builder
+    itself keeps only the scheme choice, the workload queue and the
+    telemetry rules (rules are code, not configuration).
+    """
 
     def __init__(self, cfg: Optional[SimConfig] = None) -> None:
         self._cfg = cfg if cfg is not None else SimConfig()
         self._scheme_name = "rdma-sync"
         self._interval: Optional[int] = None
         self._scheme_kwargs: dict = {}
-        self._workers: Optional[int] = None
-        self._admission = False
-        self._admission_max_score = 0.85
-        self._telemetry = False
         self._telemetry_rules = None
-        self._alert_shedding = False
-        self._fault_schedule: Optional[FaultSchedule] = None
-        self._heartbeat = False
-        self._heartbeat_interval = 50_000_000
-        self._heartbeat_timeout = 10_000_000
-        self._heartbeat_hung_after = 2
         self._workloads: list = []
         self._built = False
+
+    def _enable(self, method, section, knobs: dict) -> "ClusterBuilder":
+        """Switch ``section``'s plane on, then set ``knobs`` on it.
+
+        ``method`` is the calling chain method. A keyword that is
+        neither a field of the section nor one of the method's own
+        keyword parameters raises a TypeError that names the method,
+        with a did-you-mean hint, before anything is set.
+        """
+        fields = section.__dataclass_fields__
+        for name in knobs:
+            if name not in fields or name == "enabled":
+                valid = sorted({*fields, *_keyword_params(method)} - {"enabled"})
+                matches = get_close_matches(name, valid, n=1, cutoff=0.6)
+                hint = f" — did you mean {matches[0]!r}?" if matches else ""
+                raise TypeError(
+                    f"ClusterBuilder.{method.__name__}() got unknown keyword "
+                    f"argument {name!r}{hint} (valid keywords: {', '.join(valid)})")
+        if "enabled" in fields:
+            section.enabled = True
+        for name, value in knobs.items():
+            setattr(section, name, value)
+        return self
 
     # -- knobs ----------------------------------------------------------
     def scheme(self, name: str, *, interval: Optional[int] = None,
@@ -130,134 +148,9 @@ class ClusterBuilder:
         return self
 
     def workers(self, n: int) -> "ClusterBuilder":
-        """Web-server worker processes per back-end (default from cfg)."""
-        self._workers = n
-        return self
-
-    def with_admission(self, *, max_score: float = 0.85,
-                       **extra) -> "ClusterBuilder":
-        """Reject requests when every back-end scores above ``max_score``."""
-        _audit_kwargs("with_admission", extra, ["max_score"])
-        self._admission = True
-        self._admission_max_score = max_score
-        return self
-
-    def with_telemetry(self, *, rules=None, **extra) -> "ClusterBuilder":
-        """Attach the bounded telemetry pipeline to the front-end monitor."""
-        _audit_kwargs("with_telemetry", extra, ["rules"])
-        self._telemetry = True
-        self._telemetry_rules = rules
-        return self
-
-    def with_alert_shedding(self) -> "ClusterBuilder":
-        """Route around critically-alerted back-ends (implies telemetry)."""
-        self._alert_shedding = True
-        return self
-
-    def with_tracing(self, *, sample: float = 1.0, **extra) -> "ClusterBuilder":
-        """Enable the causal span plane at head-sampling rate ``sample``."""
-        _audit_kwargs("with_tracing", extra, ["sample"])
-        self._cfg.tracing.enabled = True
-        self._cfg.tracing.sample_rate = sample
-        return self
-
-    def with_faults(self, schedule) -> "ClusterBuilder":
-        """Install the deterministic fault plane.
-
-        ``schedule`` is a :class:`~repro.faults.FaultSchedule` or
-        schedule text for :func:`~repro.faults.parse_schedule`.
-        """
-        if isinstance(schedule, str):
-            schedule = parse_schedule(schedule)
-        elif not isinstance(schedule, FaultSchedule):
-            raise TypeError("with_faults() takes a FaultSchedule or schedule text")
-        self._fault_schedule = schedule
-        return self
-
-    def with_heartbeat(self, *, interval: int = 50_000_000,
-                       timeout: int = 10_000_000,
-                       hung_after: int = 2, **extra) -> "ClusterBuilder":
-        """Run the RDMA heartbeat monitor and health-aware failover."""
-        _audit_kwargs("with_heartbeat", extra,
-                      ["interval", "timeout", "hung_after"])
-        self._heartbeat = True
-        self._heartbeat_interval = interval
-        self._heartbeat_timeout = timeout
-        self._heartbeat_hung_after = hung_after
-        return self
-
-    def congestion(self, **knobs) -> "ClusterBuilder":
-        """Enable the congestion-realistic fabric (ECN/DCQCN/PFC).
-
-        Keywords are ``cfg.congestion`` knobs (``dcqcn=False``,
-        ``ecn_kmin=...``, ``pfc_xoff=...``, ...); a mistyped name raises
-        immediately with a did-you-mean hint, courtesy of the audited
-        config schema. ``enabled`` is implied — calling this method at
-        all switches the plane on.
-        """
-        cc = self._cfg.congestion
-        cc.enabled = True
-        for name, value in knobs.items():
-            setattr(cc, name, value)
-        return self
-
-    def tenancy(self, **knobs) -> "ClusterBuilder":
-        """Enable the multi-tenant NIC resource model (see repro.tenancy).
-
-        Keywords are ``cfg.tenancy`` knobs (``qp_table_size=...``,
-        ``icm_entries=...``, ``defense=True``, ``offend_mbps=...``, ...);
-        a mistyped name raises immediately with a did-you-mean hint,
-        courtesy of the audited config schema. ``enabled`` is implied —
-        calling this method at all installs the plane, giving every NIC
-        a bounded QP table and a shared ICM context cache, and policing
-        tenant verbs at post time. The built cluster's
-        ``sim.tenancy`` handle carries the registry and defense loop.
-        """
-        tn = self._cfg.tenancy
-        tn.enabled = True
-        for name, value in knobs.items():
-            setattr(tn, name, value)
-        return self
-
-    def observability(self, **knobs) -> "ClusterBuilder":
-        """Enable the OpenMetrics observability surface (see repro.obs).
-
-        Keywords are ``cfg.obs`` knobs (``namespace=...``,
-        ``snapshot_dir=...``, ``http=True``, ``http_port=...``, ...); a
-        mistyped name raises immediately with a did-you-mean hint,
-        courtesy of the audited config schema. ``enabled`` is implied —
-        calling this method at all switches the surface on, and the
-        build also attaches the telemetry pipeline (the registry's
-        richest source) exactly as :meth:`with_telemetry` would.
-
-        The built cluster's ``obs`` handle carries the registry, the
-        ``/metrics`` server (when ``http=True``) and
-        :meth:`~repro.obs.surface.Observability.job_report`.
-        """
-        obs = self._cfg.obs
-        obs.enabled = True
-        for name, value in knobs.items():
-            setattr(obs, name, value)
-        return self
-
-    def with_elastic_scaler(self, **knobs) -> "ClusterBuilder":
-        """Enable monitoring-driven elastic autoscaling (see server.reconfig).
-
-        Keywords are ``cfg.scaler`` knobs (``high_water=...``,
-        ``low_water=...``, ``initial_active=...``, ``up_after=...``,
-        ``cooldown=...``, ...); a mistyped name raises immediately with
-        a did-you-mean hint, courtesy of the audited config schema.
-        ``enabled`` is implied — calling this method at all installs an
-        :class:`~repro.server.reconfig.ElasticScaler` driven by
-        whichever monitoring view the dispatcher consults (the
-        federated root when federation is on, the flat front-end poller
-        otherwise). The built cluster's ``scaler`` handle carries the
-        scale-event log and load samples.
-        """
-        sc = self._cfg.scaler
-        sc.enabled = True
-        for name, value in knobs.items():
-            setattr(sc, name, value)
+        """Web-server worker processes per back-end
+        (``cfg.server.workers_per_server``)."""
+        self._cfg.server.workers_per_server = n
         return self
 
     def workload(self, name: str, **kwargs) -> "ClusterBuilder":
@@ -279,118 +172,168 @@ class ClusterBuilder:
         self._workloads.append((spec, kwargs))
         return self
 
-    def with_federation(self, *, num_shards: int = 0,
-                        leaf_interval: int = 0,
-                        root_interval: int = 0,
-                        levels: int = 2,
-                        num_regions: int = 0,
-                        region_interval: int = 0,
-                        **extra) -> "ClusterBuilder":
-        """Deploy the sharded monitoring fabric (two or three tiers).
+    # -- planes: each sets its cfg section (see _enable) ------------------
+    def with_admission(self, **knobs) -> "ClusterBuilder":
+        """Reject requests while the cluster scores above ``max_score``
+        (``cfg.admission``)."""
+        return self._enable(self.with_admission, self._cfg.admission, knobs)
 
-        Equivalent to setting ``cfg.federation.enabled`` (plus the given
-        knobs) before building: leaves poll their shard with the chosen
-        scheme, the root merges leaf snapshots, the dispatcher routes
-        through the shard-then-node balancer, and the flat front-end
-        poller stays idle. ``levels=3`` inserts region aggregators
-        between leaves and root (fan-outs near N^(1/3) — the large-N
-        regime; see docs/FEDERATION.md).
-        """
-        _audit_kwargs("with_federation", extra,
-                      ["num_shards", "leaf_interval", "root_interval",
-                       "levels", "num_regions", "region_interval"])
-        fed = self._cfg.federation
-        fed.enabled = True
-        fed.num_shards = num_shards
-        fed.leaf_interval = leaf_interval
-        fed.root_interval = root_interval
-        fed.levels = levels
-        fed.num_regions = num_regions
-        fed.region_interval = region_interval
+    def with_telemetry(self, *, rules=None, **knobs) -> "ClusterBuilder":
+        """Attach the bounded telemetry pipeline to the front-end monitor
+        (``cfg.telemetry``); ``rules`` replaces the stock alert rules."""
+        self._enable(self.with_telemetry, self._cfg.telemetry, knobs)
+        self._telemetry_rules = rules
         return self
+
+    def with_alert_shedding(self) -> "ClusterBuilder":
+        """Route around critically-alerted back-ends (implies telemetry)."""
+        return self._enable(self.with_alert_shedding, self._cfg.telemetry,
+                            {"shed_on_alert": True})
+
+    def with_tracing(self, *, sample: Optional[float] = None,
+                     **knobs) -> "ClusterBuilder":
+        """Enable the causal span plane (``cfg.tracing``); ``sample`` is
+        the head-sampling rate, ``cfg.tracing.sample_rate``."""
+        if sample is not None:
+            knobs["sample_rate"] = sample
+        return self._enable(self.with_tracing, self._cfg.tracing, knobs)
+
+    def with_faults(self, schedule) -> "ClusterBuilder":
+        """Install the deterministic fault plane (``cfg.faults``).
+
+        ``schedule`` is a :class:`~repro.faults.FaultSchedule` or
+        schedule text for :func:`~repro.faults.parse_schedule`.
+        """
+        if isinstance(schedule, str):
+            schedule = parse_schedule(schedule)
+        elif not isinstance(schedule, FaultSchedule):
+            raise TypeError("with_faults() takes a FaultSchedule or schedule text")
+        return self._enable(self.with_faults, self._cfg.faults,
+                            {"schedule": schedule})
+
+    def with_heartbeat(self, **knobs) -> "ClusterBuilder":
+        """Run the RDMA heartbeat monitor and health-aware failover
+        (``cfg.heartbeat``: ``interval``, ``timeout``, ``hung_after``)."""
+        return self._enable(self.with_heartbeat, self._cfg.heartbeat, knobs)
+
+    def congestion(self, **knobs) -> "ClusterBuilder":
+        """Enable the congestion-realistic fabric, ECN/DCQCN/PFC
+        (``cfg.congestion``: ``dcqcn=False``, ``ecn_kmin=...``, ...)."""
+        return self._enable(self.congestion, self._cfg.congestion, knobs)
+
+    def tenancy(self, **knobs) -> "ClusterBuilder":
+        """Enable the multi-tenant NIC resource model (``cfg.tenancy``).
+
+        Every NIC gets a bounded QP table and a shared ICM context
+        cache, and tenant verbs are policed at post time. The built
+        cluster's ``sim.tenancy`` handle carries the registry and the
+        defense loop.
+        """
+        return self._enable(self.tenancy, self._cfg.tenancy, knobs)
+
+    def observability(self, **knobs) -> "ClusterBuilder":
+        """Enable the OpenMetrics observability surface (``cfg.obs``).
+
+        The build also attaches the telemetry pipeline, the registry's
+        richest source. The built cluster's ``obs`` handle carries the
+        registry, the ``/metrics`` server (when ``http=True``) and
+        :meth:`~repro.obs.surface.Observability.job_report`.
+        """
+        return self._enable(self.observability, self._cfg.obs, knobs)
+
+    def with_elastic_scaler(self, **knobs) -> "ClusterBuilder":
+        """Enable monitoring-driven elastic autoscaling (``cfg.scaler``).
+
+        The :class:`~repro.server.reconfig.ElasticScaler` is driven by
+        the cluster's monitoring ``view``; its ``scaler`` handle carries
+        the scale-event log and load samples.
+        """
+        return self._enable(self.with_elastic_scaler, self._cfg.scaler, knobs)
+
+    def with_federation(self, **knobs) -> "ClusterBuilder":
+        """Deploy the sharded monitoring fabric (``cfg.federation``).
+
+        Leaves poll their shard with the chosen scheme, the root merges
+        leaf snapshots, the dispatcher routes through the
+        shard-then-node balancer, and the flat front-end poller stays
+        idle. ``levels=3`` inserts region aggregators between leaves and
+        root (see docs/FEDERATION.md).
+        """
+        return self._enable(self.with_federation, self._cfg.federation, knobs)
 
     # -- assembly -------------------------------------------------------
     @gc_paused(1)
     def build(self):
         """Wire everything up and return the :class:`RubisCluster` handle.
 
-        The cyclic collector is paused meanwhile (see
+        Every plane is on exactly when its ``cfg`` section says so. The
+        order is fixed by who needs whom: faults and heartbeat before
+        federation, federation before the scaler, the scaler before the
+        dispatcher. The cyclic collector is paused meanwhile (see
         :func:`repro.sim.engine.gc_paused`)."""
         if self._built:
             raise RuntimeError("ClusterBuilder.build() may only be called once")
         self._built = True
         cfg = self._cfg
-        if cfg.obs.enabled:
-            # The exposition's richest source; attaching it is free in
-            # simulated time, so fingerprints are unchanged.
-            self._telemetry = True
         scheme_name = self._scheme_name
         sim = build_cluster(cfg)
 
-        servers = [
-            BackendServer(be, sim.rng.stream(f"db:{be.name}"),
-                          workers=self._workers)
-            for be in sim.backends
-        ]
+        servers = [BackendServer(be, sim.rng.stream(f"db:{be.name}"))
+                   for be in sim.backends]
         for server in servers:
             server.start()
 
-        federated = cfg.federation.enabled
         scheme = create_scheme(scheme_name, sim, interval=self._interval,
                                **self._scheme_kwargs)
-        monitor = FrontendMonitor(scheme)
-        if not federated:
+        c = RubisCluster(sim, servers, scheme, FrontendMonitor(scheme))
+        if not cfg.federation.enabled:
             # With federation on, the flat front-end poller stays idle
             # (its O(N) fan-out is exactly what the two-level fabric
             # replaces); the deployed scheme remains available for
             # direct queries.
-            monitor.start()
+            c.monitor.start()
 
-        telemetry = None
-        if self._telemetry or self._alert_shedding:
-            telemetry = TelemetryPipeline(rules=self._telemetry_rules)
-            telemetry.attach(monitor)
+        tm = cfg.telemetry
+        # obs implies the pipeline, the exposition's richest source;
+        # attaching it is free in simulated time.
+        if tm.enabled or tm.shed_on_alert or cfg.obs.enabled:
+            c.telemetry = TelemetryPipeline(rules=self._telemetry_rules)
+            c.telemetry.attach(c.monitor)
+            if sim.congestion is not None:
+                c.telemetry.attach_congestion(sim.congestion)
+            if sim.tenancy is not None:
+                c.telemetry.attach_tenancy(sim.tenancy)
+        telemetry = c.telemetry
 
-        if telemetry is not None and sim.congestion is not None:
-            telemetry.attach_congestion(sim.congestion)
-
-        if telemetry is not None and sim.tenancy is not None:
-            telemetry.attach_tenancy(sim.tenancy)
-
-        faults = None
-        if self._fault_schedule is not None:
-            faults = FaultPlane(sim, self._fault_schedule).install()
+        if cfg.faults.schedule is not None:
+            c.faults = FaultPlane(sim, cfg.faults.schedule).install()
             if telemetry is not None:
-                telemetry.attach_faults(faults)
+                telemetry.attach_faults(c.faults)
 
-        heartbeat = None
-        if self._heartbeat:
-            heartbeat = HeartbeatMonitor(
-                sim, interval=self._heartbeat_interval,
-                timeout=self._heartbeat_timeout,
-                hung_after=self._heartbeat_hung_after,
-            )
+        hb = cfg.heartbeat
+        if hb.enabled:
+            c.heartbeat = HeartbeatMonitor(sim, interval=hb.interval,
+                                           timeout=hb.timeout,
+                                           hung_after=hb.hung_after)
             if telemetry is not None:
-                telemetry.attach_heartbeat(heartbeat)
+                telemetry.attach_heartbeat(c.heartbeat)
 
-        federation = None
-        if federated:
-            federation = deploy_federation(sim, scheme_name=scheme_name,
-                                           heartbeat=heartbeat)
+        if cfg.federation.enabled:
+            c.federation = deploy_federation(sim, scheme_name=scheme_name,
+                                             heartbeat=c.heartbeat)
             if telemetry is not None:
-                telemetry.attach_federation(federation)
+                telemetry.attach_federation(c.federation)
             if sim.tenancy is not None:
                 # Quarantining a tenant re-splits shard assignments so
                 # routing routes around the noisy neighborhood.
-                sim.tenancy.federation = federation
+                sim.tenancy.federation = c.federation
 
-        scaler = None
         if cfg.scaler.enabled:
             from repro.server.reconfig import ElasticScaler  # deferred: opt-in
             sc = cfg.scaler
-            scaler = ElasticScaler(
+            c.scaler = ElasticScaler(
                 sim,
-                view=(federation.root if federation is not None else monitor),
+                view=c.view,
                 interval=(sc.interval or cfg.monitor.interval),
                 high_water=sc.high_water,
                 low_water=sc.low_water,
@@ -400,73 +343,53 @@ class ClusterBuilder:
                 up_after=sc.up_after,
                 down_after=sc.down_after,
                 cooldown=sc.cooldown,
-                federation=federation,
-                health=heartbeat,
+                federation=c.federation,
+                health=c.heartbeat,
             )
             if telemetry is not None:
-                telemetry.attach_scaler(scaler)
+                telemetry.attach_scaler(c.scaler)
 
-        if federation is not None:
-            balancer = TwoLevelBalancer(
-                federation.topology,
-                use_irq_pressure=(scheme_name == "e-rdma-sync"),
-                rng=sim.rng.stream("loadbalancer"),
-            )
+        irq = scheme_name == "e-rdma-sync"
+        rng = sim.rng.stream("loadbalancer")
+        if c.federation is not None:
+            balancer = TwoLevelBalancer(c.federation.topology,
+                                        use_irq_pressure=irq, rng=rng)
         else:
-            balancer = LeastLoadedBalancer(
-                num_backends=len(servers),
-                use_irq_pressure=(scheme_name == "e-rdma-sync"),
-                rng=sim.rng.stream("loadbalancer"),
-            )
+            balancer = LeastLoadedBalancer(num_backends=len(servers),
+                                           use_irq_pressure=irq, rng=rng)
         balancer.tracer = sim.spans
         balancer.trace_node = sim.frontend.name
-        admission = None
-        if self._admission:
-            admission = AdmissionController(
+        c.balancer = balancer
+        shedding = telemetry if tm.shed_on_alert else None
+        if cfg.admission.enabled:
+            c.admission = AdmissionController(
                 num_backends=len(servers),
-                max_score=self._admission_max_score,
+                max_score=cfg.admission.max_score,
                 balancer=balancer,
-                alert_engine=(telemetry.engine
-                              if self._alert_shedding and telemetry else None),
+                alert_engine=(shedding.engine if shedding is not None else None),
             )
-            admission.tracer = sim.spans
-            admission.trace_node = sim.frontend.name
-        dispatcher = Dispatcher(
+            c.admission.tracer = sim.spans
+            c.admission.trace_node = sim.frontend.name
+        c.dispatcher = Dispatcher(
             sim.frontend, servers, balancer,
-            monitor=(federation.root if federation is not None else monitor),
-            admission=admission,
-            health=(scaler if scaler is not None else heartbeat),
-            telemetry=(telemetry if self._alert_shedding else None),
+            monitor=c.view,
+            admission=c.admission,
+            health=(c.scaler if c.scaler is not None else c.heartbeat),
+            telemetry=shedding,
         )
-        dispatcher.start()
-        workloads = []
+        c.dispatcher.start()
         if self._workloads:
             from repro.workloads import create_workload
 
             for spec, kwargs in self._workloads:
                 obj = create_workload(
                     spec.name, sim,
-                    dispatcher=(dispatcher if spec.needs_dispatcher else None),
+                    dispatcher=(c.dispatcher if spec.needs_dispatcher else None),
                     **kwargs)
                 if spec.needs_start:
                     obj.start()
-                workloads.append(obj)
-        cluster = RubisCluster(
-            sim=sim,
-            servers=servers,
-            scheme=scheme,
-            monitor=monitor,
-            balancer=balancer,
-            dispatcher=dispatcher,
-            admission=admission,
-            telemetry=telemetry,
-            faults=faults,
-            heartbeat=heartbeat,
-            federation=federation,
-            scaler=scaler,
-            workloads=workloads,
-        )
+                c.workloads.append(obj)
         if cfg.obs.enabled:
             from repro.obs import Observability  # deferred: heavy-ish, opt-in
-            cluster.obs = Observability.deploy(cluster, cfg.obs)
-        return cluster
+            c.obs = Observability.deploy(c, cfg.obs)
+        return c

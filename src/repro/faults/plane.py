@@ -41,6 +41,8 @@ from repro.faults.schedule import (
     RecoverNode,
     VerbFault,
 )
+from repro.sim.hooks import chain_hook
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.hw.cluster import ClusterSim
     from repro.hw.nic import Nic
@@ -146,15 +148,7 @@ class FaultPlane:
         listen without clobbering each other (same chaining discipline
         as the telemetry pipeline's ``attach`` helpers).
         """
-        previous = self.on_event
-        if previous is None:
-            self.on_event = fn
-        else:
-            def chained(record: FaultRecord) -> None:
-                previous(record)
-                fn(record)
-
-            self.on_event = chained
+        chain_hook(self, "on_event", fn)
         return self
 
     # ------------------------------------------------------------------

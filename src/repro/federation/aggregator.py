@@ -27,6 +27,7 @@ from repro.hw.node import Node
 from repro.monitoring.loadinfo import LoadInfo
 from repro.monitoring.registry import scheme_class
 from repro.sim.engine import gc_paused
+from repro.sim.hooks import chain_hook
 from repro.telemetry.digest import StreamingDigest
 from repro.transport.verbs import WqeBatch, connect_monitor_qp
 
@@ -248,14 +249,7 @@ class Federation:
 
     def attach_heartbeat(self, heartbeat) -> "Federation":
         """Chain quarantine handling onto a heartbeat monitor."""
-        previous = heartbeat.observer
-
-        def observer(record) -> None:
-            if previous is not None:
-                previous(record)
-            self.on_health(record)
-
-        heartbeat.observer = observer
+        chain_hook(heartbeat, "observer", self.on_health)
         return self
 
 

@@ -22,6 +22,7 @@ registers a collector for each one present.
 from __future__ import annotations
 
 import re
+from functools import partial
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.obs.openmetrics import (
@@ -167,30 +168,10 @@ class MetricsRegistry:
         deployment actually enabled.
         """
         reg = cls(namespace=namespace, quantiles=quantiles)
-        reg.register(lambda: collect_sim(reg, cluster))
-        reg.register(lambda: collect_monitor(reg, cluster))
-        if cluster.dispatcher is not None:
-            reg.register(lambda: collect_dispatcher(reg, cluster.dispatcher))
-        if cluster.telemetry is not None:
-            reg.register(lambda: collect_telemetry(reg, cluster.telemetry))
-        spans = getattr(cluster.sim, "spans", None)
-        if spans is not None and spans.enabled:
-            reg.register(lambda: collect_spans(reg, spans))
-        if cluster.federation is not None:
-            reg.register(lambda: collect_federation(reg, cluster.federation))
-        congestion = getattr(cluster.sim, "congestion", None)
-        if congestion is not None:
-            reg.register(lambda: collect_congestion(reg, cluster.sim))
-        tenancy = getattr(cluster.sim, "tenancy", None)
-        if tenancy is not None:
-            reg.register(lambda: collect_tenancy(reg, cluster.sim))
-        if cluster.faults is not None:
-            reg.register(lambda: collect_faults(reg, cluster.faults))
-        if cluster.heartbeat is not None:
-            reg.register(lambda: collect_heartbeat(reg, cluster.heartbeat))
-        scaler = getattr(cluster, "scaler", None)
-        if scaler is not None:
-            reg.register(lambda: collect_scaler(reg, scaler))
+        for collect, source in _COLLECTORS:
+            arg = source(cluster)
+            if arg is not None:
+                reg.register(partial(collect, reg, arg))
         return reg
 
 
@@ -485,9 +466,8 @@ def collect_congestion(reg: MetricsRegistry, sim) -> List[MetricFamily]:
     return out
 
 
-def collect_tenancy(reg: MetricsRegistry, sim) -> List[MetricFamily]:
+def collect_tenancy(reg: MetricsRegistry, plane) -> List[MetricFamily]:
     """Per-tenant resource accounting and per-NIC context-cache state."""
-    plane = sim.tenancy
     qps = reg.family("tenant_qps_active", "gauge",
                      "Queue pairs currently held by the tenant.")
     posted = reg.family("tenant_posted_bytes", "counter",
@@ -587,3 +567,20 @@ def collect_scaler(reg: MetricsRegistry, scaler) -> List[MetricFamily]:
     if scaler.samples:
         load.add(scaler.samples[-1][1])
     return [active, parked, evals, moves, load]
+
+
+#: (collector, what it reads from the cluster handle), in exposition
+#: order; a plane that is off reads as None and contributes nothing
+_COLLECTORS = (
+    (collect_sim, lambda c: c),
+    (collect_monitor, lambda c: c),
+    (collect_dispatcher, lambda c: c.dispatcher),
+    (collect_telemetry, lambda c: c.telemetry),
+    (collect_spans, lambda c: c.sim.spans if c.sim.spans.enabled else None),
+    (collect_federation, lambda c: c.federation),
+    (collect_congestion, lambda c: c.sim if c.sim.congestion is not None else None),
+    (collect_tenancy, lambda c: c.sim.tenancy),
+    (collect_faults, lambda c: c.faults),
+    (collect_heartbeat, lambda c: c.heartbeat),
+    (collect_scaler, lambda c: c.scaler),
+)

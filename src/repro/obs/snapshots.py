@@ -14,6 +14,8 @@ from __future__ import annotations
 import pathlib
 from typing import TYPE_CHECKING, List, Optional
 
+from repro.sim.hooks import chain_hook
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.registry import MetricsRegistry
 
@@ -52,13 +54,9 @@ class SnapshotWriter:
         flat :class:`~repro.monitoring.frontend.FrontendMonitor` or the
         federated root. Chains onto any observer already installed.
         """
-        previous = monitor.round_observer
-
-        def observer(epoch: int, latest) -> None:
-            if previous is not None:
-                previous(epoch, latest)
-            if epoch % self.every == 0:
-                self.write(epoch)
-
-        monitor.round_observer = observer
+        chain_hook(monitor, "round_observer", self._on_round)
         return self
+
+    def _on_round(self, epoch: int, latest) -> None:
+        if epoch % self.every == 0:
+            self.write(epoch)

@@ -41,9 +41,7 @@ class Observability:
         if cfg.snapshot_dir:
             obs.writer = SnapshotWriter(
                 registry, cfg.snapshot_dir, every=cfg.snapshot_every)
-            view = (cluster.federation.root
-                    if cluster.federation is not None else cluster.monitor)
-            obs.writer.attach(view)
+            obs.writer.attach(cluster.view)
         if cfg.http:
             obs.server = MetricsServer(
                 registry, host=cfg.http_host, port=cfg.http_port,

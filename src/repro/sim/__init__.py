@@ -16,6 +16,7 @@ from repro.sim.events import (
     EventPriority,
     Timeout,
 )
+from repro.sim.hooks import chain_hook
 from repro.sim.process import Interrupt, Process
 from repro.sim.resources import Container, PriorityResource, Resource, Store
 from repro.sim.rng import RngRegistry
@@ -41,5 +42,6 @@ __all__ = [
     "StopSimulation",
     "Store",
     "Timeout",
+    "chain_hook",
     "fmt_time",
 ]

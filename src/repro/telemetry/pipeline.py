@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.monitoring.loadinfo import LoadInfo
+from repro.sim.hooks import chain_hook
 from repro.telemetry.alerts import (
     AlertEngine,
     AnomalyRule,
@@ -88,34 +89,16 @@ class TelemetryPipeline:
         self.engine = AlertEngine(rules if rules is not None else default_rules())
         self._digests: Dict[str, StreamingDigest] = {}
         self.observations = 0
-        self._monitor: Optional["FrontendMonitor"] = None
-        self._heartbeat: Optional["HeartbeatMonitor"] = None
 
     # ------------------------------------------------------------------
     def attach(self, monitor: "FrontendMonitor") -> "TelemetryPipeline":
         """Chain onto the monitor's observer hook (keeps any existing one)."""
-        previous = monitor.observer
-
-        def observer(backend: int, info: LoadInfo) -> None:
-            if previous is not None:
-                previous(backend, info)
-            self.observe(backend, info)
-
-        monitor.observer = observer
-        self._monitor = monitor
+        chain_hook(monitor, "observer", self.observe)
         return self
 
     def attach_heartbeat(self, heartbeat: "HeartbeatMonitor") -> "TelemetryPipeline":
         """Surface heartbeat transitions as alerts (keeps any existing hook)."""
-        previous = heartbeat.observer
-
-        def observer(record) -> None:
-            if previous is not None:
-                previous(record)
-            self.engine.observe_health(record)
-
-        heartbeat.observer = observer
-        self._heartbeat = heartbeat
+        chain_hook(heartbeat, "observer", self.engine.observe_health)
         return self
 
     def attach_faults(self, plane) -> "TelemetryPipeline":
@@ -125,14 +108,7 @@ class TelemetryPipeline:
         :class:`~repro.telemetry.alerts.FaultRule` in the engine's rule
         set to actually raise anything.
         """
-        previous = plane.on_event
-
-        def observer(record) -> None:
-            if previous is not None:
-                previous(record)
-            self.engine.observe_fault(record)
-
-        plane.on_event = observer
+        chain_hook(plane, "on_event", self.engine.observe_fault)
         return self
 
     def attach_federation(self, federation) -> "TelemetryPipeline":
@@ -149,14 +125,8 @@ class TelemetryPipeline:
         """
         root = federation.root
         topology = federation.topology
-        previous = root.round_observer
-
-        def observer(epoch: int, latest) -> None:
-            if previous is not None:
-                previous(epoch, latest)
-            self.observe_shards(topology, root, latest)
-
-        root.round_observer = observer
+        chain_hook(root, "round_observer", lambda epoch, latest:
+                   self.observe_shards(topology, root, latest))
         return self
 
     def attach_congestion(self, plane) -> "TelemetryPipeline":
@@ -170,14 +140,8 @@ class TelemetryPipeline:
         index on the switch). Pure observation: no events scheduled, no
         simulated time spent.
         """
-        previous = plane.on_event
-
-        def observer(event: dict) -> None:
-            if previous is not None:
-                previous(event)
-            self.observe_congestion(plane, event)
-
-        plane.on_event = observer
+        chain_hook(plane, "on_event",
+                   lambda event: self.observe_congestion(plane, event))
         return self
 
     def attach_tenancy(self, plane) -> "TelemetryPipeline":
@@ -195,14 +159,7 @@ class TelemetryPipeline:
             self.engine.add_rule(ThresholdRule(
                 "tenant-offender", metric="offending", fire_above=0.5,
                 severity=Severity.WARNING, sheds=False))
-        previous = plane.on_event
-
-        def observer(event: dict) -> None:
-            if previous is not None:
-                previous(event)
-            self.observe_tenancy(event)
-
-        plane.on_event = observer
+        chain_hook(plane, "on_event", self.observe_tenancy)
         return self
 
     def attach_scaler(self, scaler) -> "TelemetryPipeline":
@@ -214,15 +171,16 @@ class TelemetryPipeline:
         ``scaler.moves`` so the decision points are visible next to the
         load signal that triggered them.
         """
-        previous = scaler.observer
-
-        def observer(event: dict) -> None:
-            if previous is not None:
-                previous(event)
-            self.observe_scaler(event)
-
-        scaler.observer = observer
+        chain_hook(scaler, "observer", self.observe_scaler)
         return self
+
+    def _record(self, key: str, t: int, value: float) -> None:
+        """Append one sample to ring ``key`` and fold it into its digest."""
+        self.store.add(key, t, value)
+        digest = self._digests.get(key)
+        if digest is None:
+            digest = self._digests[key] = StreamingDigest(self.compression)
+        digest.update(value)
 
     def observe_scaler(self, event: dict) -> None:
         """Ingest one elastic-scaler event (evaluation or scale move)."""
@@ -230,16 +188,8 @@ class TelemetryPipeline:
         if event.get("kind") == "scale":
             self.store.add("scaler.moves", t, 1.0)
             return
-        sample = {
-            "scaler.mean_load": float(event["mean_load"]),
-            "scaler.active": float(event["active"]),
-        }
-        for key, value in sample.items():
-            self.store.add(key, t, value)
-            digest = self._digests.get(key)
-            if digest is None:
-                digest = self._digests[key] = StreamingDigest(self.compression)
-            digest.update(value)
+        self._record("scaler.mean_load", t, float(event["mean_load"]))
+        self._record("scaler.active", t, float(event["active"]))
 
     def observe_tenancy(self, event: dict) -> None:
         """Ingest one tenancy-plane event (per-tenant window / action)."""
@@ -255,12 +205,7 @@ class TelemetryPipeline:
             "offending": float(event["offending"]),
         }
         for metric, value in sample.items():
-            key = f"t{tid}.{metric}"
-            self.store.add(key, t, value)
-            digest = self._digests.get(key)
-            if digest is None:
-                digest = self._digests[key] = StreamingDigest(self.compression)
-            digest.update(value)
+            self._record(f"t{tid}.{metric}", t, value)
         self.engine.observe(-(1000 + tid + 1), t, sample)
 
     def observe_congestion(self, plane, event: dict) -> None:
@@ -278,11 +223,7 @@ class TelemetryPipeline:
         else:  # pragma: no cover - future event kinds pass through
             return
         for key, value in samples.items():
-            self.store.add(key, t, value)
-            digest = self._digests.get(key)
-            if digest is None:
-                digest = self._digests[key] = StreamingDigest(self.compression)
-            digest.update(value)
+            self._record(key, t, value)
 
     def observe_shards(self, topology, root, latest) -> None:
         """Ingest one merged root round as per-shard aggregate samples."""
@@ -299,12 +240,7 @@ class TelemetryPipeline:
                 "members": float(len(members)),
             }
             for metric, value in sample.items():
-                key = f"s{j}.{metric}"
-                self.store.add(key, now, value)
-                digest = self._digests.get(key)
-                if digest is None:
-                    digest = self._digests[key] = StreamingDigest(self.compression)
-                digest.update(value)
+                self._record(f"s{j}.{metric}", now, value)
             self.engine.observe(-(j + 1), now, sample)
 
     # ------------------------------------------------------------------
@@ -314,14 +250,8 @@ class TelemetryPipeline:
         now = info.received_at
         sample: Dict[str, float] = {}
         for metric in self.metrics:
-            value = float(getattr(info, metric))
-            sample[metric] = value
-            key = f"b{backend}.{metric}"
-            self.store.add(key, now, value)
-            digest = self._digests.get(key)
-            if digest is None:
-                digest = self._digests[key] = StreamingDigest(self.compression)
-            digest.update(value)
+            value = sample[metric] = float(getattr(info, metric))
+            self._record(f"b{backend}.{metric}", now, value)
         self.engine.observe(backend, now, sample)
 
     # ------------------------------------------------------------------

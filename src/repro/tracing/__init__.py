@@ -5,6 +5,11 @@ where the flat tracer records *that* something happened, the span plane
 records *why it took as long as it did* — every request and monitoring
 probe becomes a tree of timed spans with one trace id, exportable to
 Perfetto and analysable for its critical path. See docs/TRACING.md.
+
+:class:`SpanMetrics` is imported on first use: it feeds the telemetry
+plane, whose pipeline imports the monitoring schemes, which import the
+verbs layer — and the verbs layer imports this package for its span
+hooks. An eager import here would close that cycle.
 """
 
 from repro.tracing.analysis import (
@@ -26,7 +31,6 @@ from repro.tracing.export import (
     to_jsonl,
     validate_chrome_trace,
 )
-from repro.tracing.metrics import SpanMetrics
 from repro.tracing.span import Span, SpanTracer, tracer_for
 
 __all__ = [
@@ -51,3 +55,11 @@ __all__ = [
     "tracer_for",
     "validate_chrome_trace",
 ]
+
+
+def __getattr__(name):
+    if name == "SpanMetrics":
+        from repro.tracing.metrics import SpanMetrics
+
+        return SpanMetrics
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

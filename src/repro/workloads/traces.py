@@ -26,9 +26,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.server.request import Request
+from repro.sim.hooks import chain_hook
 from repro.sim.resources import Store
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -128,14 +129,7 @@ class TraceRecorder:
         :meth:`record_stats`, this sees the *full* arrival stream, not
         just within-deadline completions.
         """
-        previous: Optional[Callable] = dispatcher.stats.observer
-
-        def observer(request: Request) -> None:
-            if previous is not None:
-                previous(request)
-            self.record(request)
-
-        dispatcher.stats.observer = observer
+        chain_hook(dispatcher.stats, "observer", self.record)
         return self
 
     # -- persistence ---------------------------------------------------------

@@ -3,7 +3,14 @@
 import pytest
 
 from repro.api import ClusterBuilder
-from repro.config import SimConfig
+from repro.config import (
+    AdmissionConfig,
+    FaultsConfig,
+    HeartbeatConfig,
+    SimConfig,
+    TelemetryConfig,
+)
+from repro.faults import FaultSchedule, parse_schedule
 from repro.sim.units import ms, seconds
 from repro.workloads.rubis import RubisWorkload
 
@@ -73,17 +80,6 @@ def test_builder_exported_from_package_root():
     ("with_heartbeat", {"intervall": 1000}, "interval"),
     ("with_heartbeat", {"hung_aftr": 3}, "hung_after"),
     ("with_federation", {"num_shard": 2}, "num_shards"),
-])
-def test_chain_method_typos_get_suggestions(method, typo, suggestion):
-    builder = ClusterBuilder(SimConfig(num_backends=2))
-    with pytest.raises(TypeError) as err:
-        getattr(builder, method)(**typo)
-    message = str(err.value)
-    assert method in message
-    assert f"did you mean {suggestion!r}" in message
-
-
-@pytest.mark.parametrize("method,typo,suggestion", [
     ("congestion", {"ecn_kmn": 1024}, "ecn_kmin"),
     ("tenancy", {"icm_entrees": 16}, "icm_entries"),
     ("tenancy", {"qp_table_sze": 64}, "qp_table_size"),
@@ -91,13 +87,56 @@ def test_chain_method_typos_get_suggestions(method, typo, suggestion):
     ("observability", {"namespce": "x"}, "namespace"),
     ("observability", {"http_prt": 9090}, "http_port"),
     ("observability", {"snapshot_dr": "/tmp"}, "snapshot_dir"),
+    ("with_elastic_scaler", {"high_watr": 0.9}, "high_water"),
 ])
-def test_config_backed_methods_typos_get_suggestions(method, typo, suggestion):
-    """congestion()/observability() knobs audit via the config schema."""
-    builder = ClusterBuilder(SimConfig(num_backends=2))
-    with pytest.raises((TypeError, AttributeError)) as err:
+def test_chain_method_typos_get_suggestions(method, typo, suggestion):
+    cfg = SimConfig(num_backends=2)
+    builder = ClusterBuilder(cfg)
+    with pytest.raises(TypeError) as err:
         getattr(builder, method)(**typo)
-    assert f"did you mean {suggestion!r}" in str(err.value)
+    message = str(err.value)
+    assert f"ClusterBuilder.{method}()" in message
+    assert f"did you mean {suggestion!r}" in message
+    assert cfg == SimConfig(num_backends=2)  # nothing was switched on
+
+
+def test_plane_methods_write_their_cfg_sections():
+    """Every plane switch lives in the config: the chain methods only
+    set sections, and the builder keeps no plane state of its own."""
+    cfg = SimConfig(num_backends=2)
+    (ClusterBuilder(cfg)
+     .workers(3)
+     .with_admission(max_score=0.9)
+     .with_alert_shedding()
+     .with_heartbeat(interval=ms(20), timeout=ms(2))
+     .with_faults("at 300ms hang backend0\n"))
+    assert cfg.server.workers_per_server == 3
+    assert cfg.admission == AdmissionConfig(enabled=True, max_score=0.9)
+    assert cfg.telemetry == TelemetryConfig(enabled=True, shed_on_alert=True)
+    assert cfg.heartbeat == HeartbeatConfig(enabled=True, interval=ms(20),
+                                            timeout=ms(2))
+    assert cfg.faults.schedule == parse_schedule("at 300ms hang backend0\n")
+    assert cfg.tracing.enabled is False
+
+
+def test_plane_is_on_exactly_when_its_section_says_so():
+    off = ClusterBuilder(SimConfig(num_backends=2)).build()
+    on = ClusterBuilder(SimConfig(
+        num_backends=2,
+        telemetry=TelemetryConfig(enabled=True),
+        admission=AdmissionConfig(enabled=True),
+        heartbeat=HeartbeatConfig(enabled=True),
+        faults=FaultsConfig(schedule=FaultSchedule()),
+    )).build()
+    for handle in ("telemetry", "admission", "heartbeat", "faults"):
+        assert getattr(off, handle) is None
+        assert getattr(on, handle) is not None, handle
+
+
+def test_fault_schedule_text_in_cfg_is_rejected_with_a_hint():
+    cfg = SimConfig(num_backends=2, faults=FaultsConfig(schedule="at 1s hang backend0"))
+    with pytest.raises(ValueError, match="parse_schedule"):
+        ClusterBuilder(cfg).build()
 
 
 def test_chain_method_unknown_kwarg_without_match_lists_valid():
