@@ -630,7 +630,15 @@ class SimConfig:
     profile: ProfileConfig = field(default_factory=ProfileConfig)
 
     def replace(self, **kwargs) -> "SimConfig":
-        """Shallow functional update of top-level fields."""
+        """Functional update of top-level fields.
+
+        Every section not passed in ``kwargs`` is copied, so a builder
+        that switches a plane on the new config leaves this one alone.
+        """
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.name not in kwargs and dataclasses.is_dataclass(value):
+                kwargs[f.name] = dataclasses.replace(value)
         return dataclasses.replace(self, **kwargs)
 
     def validate(self) -> None:

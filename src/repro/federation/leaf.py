@@ -5,8 +5,9 @@ A :class:`LeafMonitor` is the shard-scale analogue of the
 registered monitoring schemes, restricted to its shard, on its own leaf
 node. The scheme is built against a :class:`ShardView` — a
 ``ClusterSim``-shaped facade whose ``frontend`` is the leaf node and
-whose ``backends`` are the shard's members — so every scheme works
-unmodified. RDMA schemes additionally get the batched fan-out
+whose ``backends`` are the back-ends the leaf may poll (its static
+members, or the whole cluster when rebalancing can migrate members) —
+so every scheme works unmodified. RDMA schemes additionally get the batched fan-out
 (`query_many`): the whole shard round is posted first and the doorbell
 rings once.
 
@@ -42,6 +43,9 @@ class ShardView:
     faults / frontend / backends``; presenting the leaf node as the
     front-end and the shard members as the cluster lets every registered
     scheme deploy against a shard without modification.
+
+    ``backends`` is held, not copied: a full-universe leaf passes the
+    cluster's own list, so all such leaves share one back-end universe.
     """
 
     def __init__(self, sim: "ClusterSim", leaf_node: "Node", backends: List["Node"]) -> None:
@@ -52,7 +56,7 @@ class ShardView:
         self.spans = sim.spans
         self.faults = getattr(sim, "faults", None)
         self.frontend = leaf_node
-        self.backends = list(backends)
+        self.backends = backends
 
 
 class LeafMonitor:
@@ -77,12 +81,17 @@ class LeafMonitor:
         if interval is None:
             interval = fed.leaf_interval or sim.cfg.monitor.interval
         self.interval = interval
-        # One-sided schemes with no back-end agent can safely be
-        # deployed over the whole cluster (a registration + QP per
-        # member costs the members nothing), which lets quarantine
-        # rebalancing migrate members between shards. Schemes that run
-        # per-member threads or buffers stay scoped to the static shard
-        # so deploying a leaf never perturbs back-ends outside it.
+        # One-sided schemes with no back-end agent are deployed over the
+        # whole cluster (a registration + QP per member costs the members
+        # nothing), which lets quarantine rebalancing migrate members
+        # between shards. The universe is then the cluster's own back-end
+        # list, so a local index *is* the global index and no per-leaf
+        # copy or translation table exists; the scheme wires a member on
+        # its first poll, so per-leaf state grows with the members it
+        # has polled, not with N. Schemes that run per-member threads or
+        # buffers stay scoped to the static shard so deploying a leaf
+        # never perturbs back-ends outside it; that path keeps a small
+        # global -> local table over the shard's static members.
         cls = scheme_class(self.scheme_name)
         self._full_universe = (
             topology.rebalance_on_quarantine
@@ -90,12 +99,13 @@ class LeafMonitor:
             and cls.backend_threads == 0
         )
         if self._full_universe:
-            universe = list(range(topology.num_backends))
+            self._static: Optional[List[int]] = None
+            self._local_of: Optional[Dict[int, int]] = None
+            view = ShardView(sim, node, sim.backends)
         else:
-            universe = list(topology.static_assignment[shard])
-        self._universe = universe
-        self._local_of = {g: li for li, g in enumerate(universe)}
-        view = ShardView(sim, node, [sim.backends[g] for g in universe])
+            self._static = list(topology.static_assignment[shard])
+            self._local_of = {g: li for li, g in enumerate(self._static)}
+            view = ShardView(sim, node, [sim.backends[g] for g in self._static])
         self.scheme = create_scheme(self.scheme_name, view, interval=interval)
         self.metrics = tuple(metrics)
         #: freshest report per member, keyed by *global* back-end index
@@ -134,8 +144,10 @@ class LeafMonitor:
 
     def members(self) -> List[int]:
         """Global indices this leaf polls right now."""
-        return [g for g in self.topology.members(self.shard)
-                if g in self._local_of]
+        members = self.topology.members(self.shard)
+        if self._full_universe:
+            return members
+        return [g for g in members if g in self._local_of]
 
     # ------------------------------------------------------------------
     def _body(self, k):
@@ -152,10 +164,13 @@ class LeafMonitor:
                     attrs={"shard": self.shard, "members": len(members)})
             infos: Dict[int, LoadInfo] = {}
             if members:
-                locals_ = [self._local_of[g] for g in members]
-                infos = yield from self.scheme.query_many(k, locals_)
-            for li, info in infos.items():
-                g = self._universe[li]
+                if self._full_universe:
+                    infos = yield from self.scheme.query_many(k, members)
+                else:
+                    local = yield from self.scheme.query_many(
+                        k, [self._local_of[g] for g in members])
+                    infos = {self._static[li]: info for li, info in local.items()}
+            for g, info in infos.items():
                 self.latest[g] = info
                 for m, digest in self.digests.items():
                     digest.update(float(getattr(info, m)))

@@ -82,7 +82,10 @@ class MonitoringScheme(abc.ABC):
     def __init__(self, sim: "ClusterSim", *, interval: Optional[int] = None) -> None:
         self.sim = sim
         self.frontend: "Node" = sim.frontend
-        self.backends: List["Node"] = list(sim.backends)
+        # Shared, not copied: nothing mutates a cluster's back-end list
+        # after build, and federation leaves hand every scheme the same
+        # cluster-wide list.
+        self.backends: List["Node"] = sim.backends
         self.interval = interval if interval is not None else sim.cfg.monitor.interval
         if self.interval <= 0:
             raise ValueError("monitoring interval must be positive")

@@ -18,7 +18,7 @@ all emergent here:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Generator, List, Optional
+from typing import TYPE_CHECKING, Dict, Generator, Optional
 
 from repro.monitoring.base import MonitoringScheme, make_read_post
 from repro.monitoring.loadinfo import LoadCalculator, LoadInfo
@@ -35,6 +35,23 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.task import TaskContext
 
 
+class _Wiring:
+    """One back-end's QP, kernel MRs, calculator and prebuilt posts."""
+
+    __slots__ = ("qp", "load_mr", "irq_mr", "calc", "load_post", "irq_post")
+
+    def __init__(self, qp: QueuePair, load_mr: MemoryRegionHandle,
+                 irq_mr: MemoryRegionHandle, calc: LoadCalculator) -> None:
+        self.qp = qp
+        self.load_mr = load_mr
+        self.irq_mr = irq_mr
+        #: front-end side calculator (jiffy differencing happens here)
+        self.calc = calc
+        #: prebuilt untraced post closures (steady-state probe cache)
+        self.load_post = make_read_post(qp, load_mr)
+        self.irq_post = make_read_post(qp, irq_mr)
+
+
 class RdmaSyncScheme(MonitoringScheme):
     """Synchronous (kernel-memory) RDMA monitoring."""
 
@@ -48,60 +65,47 @@ class RdmaSyncScheme(MonitoringScheme):
         super().__init__(sim, interval=interval)
         if with_irq_detail:
             self.read_irq_stat = True
-        self._qps: List[Optional[QueuePair]] = []
-        self._load_mrs: List[Optional[MemoryRegionHandle]] = []
-        self._irq_mrs: List[Optional[MemoryRegionHandle]] = []
-        #: front-end side calculators (jiffy differencing happens here)
-        self._calcs: List[Optional[LoadCalculator]] = []
-        #: prebuilt untraced post closures (steady-state probe cache)
-        self._load_posts: List = []
-        self._irq_posts: List = []
+        #: per-back-end wiring, keyed by back-end index, for the back-ends
+        #: queried so far
+        self._wired: Dict[int, _Wiring] = {}
 
     def _deploy(self) -> None:
-        # Wiring is lazy, per back-end, on first query. Deploying a QP,
-        # registering the kernel MRs and building the post closures is
-        # pure bookkeeping — no events, no RNG draws, no simulated time —
-        # so deferring it never perturbs a run. It does turn deploy cost
-        # from O(universe) into O(members actually polled): a federation
-        # leaf is handed the full back-end universe (so quarantine
-        # rebalancing can re-shard without re-deploying) but only ever
-        # touches its own shard, which at N back-ends and ~sqrt(N) leaves
-        # is the difference between O(N^1.5) and O(N) QPs cluster-wide.
-        n = len(self.backends)
-        self._qps = [None] * n
-        self._load_mrs = [None] * n
-        self._irq_mrs = [None] * n
-        self._calcs = [None] * n
-        self._load_posts = [None] * n
-        self._irq_posts = [None] * n
+        # Nothing to do up front: each back-end is wired on its first
+        # query (:meth:`_wiring`). Creating a QP, registering the kernel
+        # MRs and building the post closures is pure bookkeeping — no
+        # events, no RNG draws, no simulated time — so deferring it never
+        # perturbs a run. It keeps the scheme's state proportional to the
+        # back-ends it actually polls: a federation leaf sees the whole
+        # cluster as its universe (so quarantine rebalancing can move
+        # members between shards without re-deploying) but only wires
+        # its own members, and a member migrated in is wired on the
+        # leaf's next round.
+        pass
 
-    def _wire(self, i: int) -> None:
-        """Materialize QP/MR/calculator/post wiring for back-end ``i``."""
-        be = self.backends[i]
-        pd = ProtectionDomain.for_node(be)
-        # Kernel structures are registered READ-ONLY (§6 security).
-        self._load_mrs[i] = lmr = pd.register(
-            be.memory.get("kern.load"), AccessFlags.REMOTE_READ)
-        self._irq_mrs[i] = imr = pd.register(
-            be.memory.get("kern.irq_stat"), AccessFlags.REMOTE_READ)
-        qp_fe, _ = connect_monitor_qp(self.frontend, be)
-        self._qps[i] = qp_fe
-        self._calcs[i] = LoadCalculator(be.name)
-        self._load_posts[i] = make_read_post(qp_fe, lmr)
-        self._irq_posts[i] = make_read_post(qp_fe, imr)
+    def _wiring(self, i: int) -> _Wiring:
+        """Back-end ``i``'s wiring, materialized on first use."""
+        w = self._wired.get(i)
+        if w is None:
+            be = self.backends[i]
+            pd = ProtectionDomain.for_node(be)
+            # Kernel structures are registered READ-ONLY (§6 security).
+            lmr = pd.register(be.memory.get("kern.load"), AccessFlags.REMOTE_READ)
+            imr = pd.register(be.memory.get("kern.irq_stat"), AccessFlags.REMOTE_READ)
+            qp_fe, _ = connect_monitor_qp(self.frontend, be)
+            w = self._wired[i] = _Wiring(qp_fe, lmr, imr, LoadCalculator(be.name))
+        return w
 
     # ------------------------------------------------------------------
     def query(self, k: "TaskContext", backend_index: int) -> Generator:
         mon = self.sim.cfg.monitor
         issued = k.now
-        if self._qps[backend_index] is None:
-            self._wire(backend_index)
+        w = self._wiring(backend_index)
         span = self._probe_span(backend_index)
         if span is None:
-            post = self._load_posts[backend_index]
+            post = w.load_post
         else:
-            qp = self._qps[backend_index]
-            load_mr = self._load_mrs[backend_index]
+            qp = w.qp
+            load_mr = w.load_mr
             post = lambda: qp._post_read(load_mr.rkey, load_mr.nbytes, ctx=span)
         wc, attempts = yield from self._verb_retry(k, post)
         if wc is None or not wc.ok:
@@ -110,10 +114,10 @@ class RdmaSyncScheme(MonitoringScheme):
         irq = None
         if self.read_irq_stat:
             if span is None:
-                irq_post = self._irq_posts[backend_index]
+                irq_post = w.irq_post
             else:
-                qp = self._qps[backend_index]
-                irq_mr = self._irq_mrs[backend_index]
+                qp = w.qp
+                irq_mr = w.irq_mr
                 irq_post = lambda: qp._post_read(irq_mr.rkey, irq_mr.nbytes, ctx=span)
             wc_irq, irq_attempts = yield from self._verb_retry(k, irq_post)
             attempts += irq_attempts - 1
@@ -123,7 +127,7 @@ class RdmaSyncScheme(MonitoringScheme):
             irq = wc_irq.value
         # Derive load on the *front end* from the raw counters.
         yield k.compute(mon.compose_cost)
-        info = self._calcs[backend_index].compute(wc.value, irq)
+        info = w.calc.compute(wc.value, irq)
         return self._record(backend_index, issued, info, span=span,
                             attempts=attempts)
 
@@ -144,10 +148,8 @@ class RdmaSyncScheme(MonitoringScheme):
         net = self.sim.cfg.net
         mon = self.sim.cfg.monitor
         issued = k.now
-        qps = self._qps
-        for i in indices:
-            if qps[i] is None:
-                self._wire(i)
+        get = self._wired.get
+        wired = [get(i) or self._wiring(i) for i in indices]
         tracer = self.frontend.span_tracer
         if tracer is None or not tracer.enabled:
             spans = dict.fromkeys(indices)
@@ -155,20 +157,19 @@ class RdmaSyncScheme(MonitoringScheme):
             spans = {i: self._probe_span(i) for i in indices}
         batch = WqeBatch(net=net)
         load_events = [
-            batch.post_read(self._qps[i], self._load_mrs[i].rkey,
-                            self._load_mrs[i].nbytes, ctx=spans[i])
-            for i in indices
+            batch.post_read(w.qp, w.load_mr.rkey, w.load_mr.nbytes, ctx=spans[i])
+            for i, w in zip(indices, wired)
         ]
         irq_events = {}
         if self.read_irq_stat:
             irq_events = {
-                i: batch.post_read(self._qps[i], self._irq_mrs[i].rkey,
-                                   self._irq_mrs[i].nbytes, ctx=spans[i])
-                for i in indices
+                i: batch.post_read(w.qp, w.irq_mr.rkey, w.irq_mr.nbytes,
+                                   ctx=spans[i])
+                for i, w in zip(indices, wired)
             }
         yield from batch.ring(k)
         out: Dict[int, LoadInfo] = {}
-        for i, ev in zip(indices, load_events):
+        for i, w, ev in zip(indices, wired, load_events):
             wc = yield k.wait(ev)
             irq = None
             if self.read_irq_stat:
@@ -181,7 +182,7 @@ class RdmaSyncScheme(MonitoringScheme):
                 out[i] = self._record_failure(i, issued, span=spans[i])
                 continue
             yield k.compute(mon.compose_cost)
-            out[i] = self._record(i, issued, self._calcs[i].compute(wc.value, irq),
+            out[i] = self._record(i, issued, w.calc.compute(wc.value, irq),
                                   span=spans[i])
         return out
 
@@ -194,21 +195,21 @@ class RdmaSyncScheme(MonitoringScheme):
         net = self.sim.cfg.net
         mon = self.sim.cfg.monitor
         issued = k.now
-        qps = self._qps
-        for i in range(len(qps)):
-            if qps[i] is None:
-                self._wire(i)
-        spans = [self._probe_span(i) for i in range(len(self.backends))]
+        get = self._wired.get
+        wired = [get(i) or self._wiring(i) for i in range(len(self.backends))]
+        spans = [self._probe_span(i) for i in range(len(wired))]
         load_events, irq_events = [], []
-        for i, (qp, lmr) in enumerate(zip(self._qps, self._load_mrs)):
+        for i, w in enumerate(wired):
             yield k.compute(net.doorbell_cost)
-            load_events.append(qp._post_read(lmr.rkey, lmr.nbytes, ctx=spans[i]))
+            lmr = w.load_mr
+            load_events.append(w.qp._post_read(lmr.rkey, lmr.nbytes, ctx=spans[i]))
         if self.read_irq_stat:
-            for i, (qp, imr) in enumerate(zip(self._qps, self._irq_mrs)):
+            for i, w in enumerate(wired):
                 yield k.compute(net.doorbell_cost)
-                irq_events.append(qp._post_read(imr.rkey, imr.nbytes, ctx=spans[i]))
+                imr = w.irq_mr
+                irq_events.append(w.qp._post_read(imr.rkey, imr.nbytes, ctx=spans[i]))
         out: Dict[int, LoadInfo] = {}
-        for i, ev in enumerate(load_events):
+        for i, (w, ev) in enumerate(zip(wired, load_events)):
             wc = yield k.wait(ev)
             irq = None
             if self.read_irq_stat:
@@ -221,6 +222,6 @@ class RdmaSyncScheme(MonitoringScheme):
                 out[i] = self._record_failure(i, issued, span=spans[i])
                 continue
             yield k.compute(mon.compose_cost)
-            out[i] = self._record(i, issued, self._calcs[i].compute(wc.value, irq),
+            out[i] = self._record(i, issued, w.calc.compute(wc.value, irq),
                                   span=spans[i])
         return out

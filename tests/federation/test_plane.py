@@ -83,6 +83,43 @@ def test_crash_quarantines_rebalances_and_recovers():
     assert sorted(fed.root.latest) == list(range(8))
 
 
+def test_leaves_wire_only_polled_members_and_migrants_on_next_round():
+    """Full-universe leaves share the cluster's back-end list but wire
+    only the members they poll; a member rebalanced into another shard
+    is wired on that leaf's first round after the re-split."""
+    sim = _sim(schedule="at 40ms crash backend0\nat 120ms recover backend0")
+    fed = deploy_federation(sim)
+    topo = fed.topology
+
+    sim.run(ms(35))
+    for leaf in fed.leaves:
+        assert leaf._full_universe is True
+        assert leaf.scheme.backends is sim.backends
+        polled = {r.backend for r in leaf.scheme.records}
+        assert polled == set(topo.static_assignment[leaf.shard])
+        assert set(leaf.scheme._wired) == polled
+
+    # Quarantining backend0 at 40 ms re-splits the survivors; pick a
+    # member that moved into a shard that never polled it.
+    sim.run(ms(60))
+    assert topo.quarantined == {0}
+    moved = [(g, leaf) for leaf in fed.leaves for g in topo.members(leaf.shard)
+             if g not in topo.static_assignment[leaf.shard]]
+    assert moved
+    g, leaf = moved[0]
+    rounds = sorted({r.issued_at for r in leaf.scheme.records})
+    first_after = next(t for t in rounds if t > ms(40))
+    assert all(r.backend != g for r in leaf.scheme.records
+               if r.issued_at < first_after)
+    assert any(r.backend == g for r in leaf.scheme.records
+               if r.issued_at == first_after)
+    assert g in leaf.scheme._wired
+    # Reported under its global index, and the root still sees every
+    # active back-end.
+    assert leaf.latest[g].backend == sim.backends[g].name
+    assert sorted(fed.root.latest) == topo.active_backends()
+
+
 def test_rebalance_disabled_for_schemes_with_backend_agents():
     """Two-sided / push schemes pin the static assignment: their leaves
     deploy per-member state, so members must not migrate between shards."""

@@ -1,7 +1,10 @@
 """Tests for configuration validation and functional updates."""
 
+import dataclasses
+
 import pytest
 
+from repro.api import ClusterBuilder
 from repro.config import SimConfig
 
 
@@ -14,7 +17,18 @@ def test_replace_is_functional():
     cfg2 = cfg.replace(num_backends=4)
     assert cfg.num_backends == 8
     assert cfg2.num_backends == 4
-    assert cfg2.cpu is cfg.cpu  # shallow
+    for f in dataclasses.fields(cfg):
+        section = getattr(cfg, f.name)
+        if dataclasses.is_dataclass(section):
+            assert getattr(cfg2, f.name) is not section, f.name
+            assert getattr(cfg2, f.name) == section, f.name
+
+
+def test_replace_copy_does_not_leak_plane_switches():
+    cfg = SimConfig()
+    ClusterBuilder(cfg.replace(num_backends=4)).with_heartbeat().congestion()
+    assert cfg.heartbeat.enabled is False
+    assert cfg.congestion.enabled is False
 
 
 @pytest.mark.parametrize(

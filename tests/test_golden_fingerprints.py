@@ -40,11 +40,12 @@ Regenerating after an intentional break::
     PYTHONPATH=src python -m pytest tests/test_golden_fingerprints.py \
         --regen-goldens
 
-rewrites every ``GOLDEN_*`` constant below in place with the freshly
-captured fingerprints (each test reports ``skipped`` to mark that it
-recaptured rather than asserted), then a plain re-run must pass. The
-flag lives in ``tests/conftest.py``; commit the rewritten goldens
-together with the change that moved them and a rationale in the
+rewrites, in place, each ``GOLDEN_*`` constant below whose freshly
+captured fingerprint differs (its test reports ``skipped`` to mark that
+it recaptured rather than asserted); a constant that still matches keeps
+its source line byte-identical and its test passes. A plain re-run must
+then pass. The flag lives in ``tests/conftest.py``; commit the rewritten
+goldens together with the change that moved them and a rationale in the
 message. Never use it to silence an unexplained mismatch.
 """
 
@@ -297,18 +298,50 @@ GOLDEN_SHEDDING_ALERTS = ((300000000, 'fault-injected', 0, 'WARNING', False), (3
 GOLDEN_SHEDDING = (439, '8318072.845102506', 320123159, ((0, 221), (1, 218)), 19705, 444, 15, 15, 8, ((340666635, 0, 'HUNG'), (621194435, 0, 'ALIVE')), 100, 2, 2534, 282)
 
 
-def _check(name, value, regen):
-    """Assert ``value`` against the module constant ``name`` — or, under
-    ``--regen-goldens``, rewrite that constant in place and skip."""
-    if not regen:
-        assert value == globals()[name]
-        return
-    path = pathlib.Path(__file__)
+def rewrite_golden(path, name, value, current):
+    """Rewrite the ``name = ...`` line of ``path`` as ``name = value!r``.
+
+    Only when ``value != current``: an unchanged golden keeps its source
+    line byte-identical, so compact literals such as
+    ``(20007, 25007) * 25`` survive a recapture of another constant.
+    Returns True when the file was rewritten.
+    """
+    if value == current:
+        return False
     src = path.read_text()
     pattern = re.compile(rf"^{name} = .*$", re.MULTILINE)
     assert pattern.search(src), f"constant {name} not found for rewrite"
     path.write_text(pattern.sub(lambda m: f"{name} = {value!r}", src, count=1))
-    pytest.skip(f"recaptured {name} in place (--regen-goldens)")
+    return True
+
+
+def _check(name, value, regen):
+    """Assert ``value`` against the module constant ``name`` — or, under
+    ``--regen-goldens``, rewrite that constant in place (if it moved)
+    and skip."""
+    current = globals()[name]
+    if regen and rewrite_golden(pathlib.Path(__file__), name, value, current):
+        pytest.skip(f"recaptured {name} in place (--regen-goldens)")
+    assert value == current
+
+
+def test_rewrite_golden_touches_only_a_changed_constant(tmp_path):
+    path = tmp_path / "goldens.py"
+    original = ("GOLDEN_A = (20007, 25007) * 25\n"
+                "GOLDEN_AB = (1, 2)\n"
+                "GOLDEN_B = (1, 2)\n")
+    path.write_text(original)
+    before = path.read_bytes()
+    assert not rewrite_golden(path, "GOLDEN_A", (20007, 25007) * 25,
+                              (20007, 25007) * 25)
+    assert path.read_bytes() == before
+    assert rewrite_golden(path, "GOLDEN_B", (1, 3), (1, 2))
+    old_lines = original.splitlines()
+    new_lines = path.read_text().splitlines()
+    assert len(new_lines) == len(old_lines)
+    changed = [i for i, (o, n) in enumerate(zip(old_lines, new_lines)) if o != n]
+    assert changed == [2]
+    assert new_lines[2] == "GOLDEN_B = (1, 3)"
 
 
 def test_golden_socket_sync(regen_goldens):
